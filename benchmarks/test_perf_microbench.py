@@ -7,7 +7,7 @@ correlation-table traffic).
 
 from repro.classify.three_c import ThreeCClassifier
 from repro.core.prefetch.correlation import CorrelationTable
-from repro.sim.simulator import MemorySimulator
+from repro.sim.simulator import MemorySimulator, make_simulator
 from repro.traces.workloads import build_workload
 
 
@@ -41,6 +41,29 @@ def test_perf_simulator_with_prefetch(benchmark):
     def run():
         from repro.sim.simulator import simulate
         return simulate(trace, ipa=3.0, prefetcher="timekeeping")
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.prefetch.issued > 0
+
+
+def test_perf_scalar_victim(benchmark):
+    """Timekeeping victim filter at the paper config (no metrics bank,
+    so generation bookkeeping is off) — always the scalar loop."""
+    trace = build_workload("gcc", length=20_000)
+
+    def run():
+        return make_simulator(ipa=6.0, victim_filter="timekeeping").run(trace)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.victim.fills > 0
+
+
+def test_perf_scalar_prefetch(benchmark):
+    """Timekeeping prefetcher at the paper config (no metrics bank)."""
+    trace = build_workload("gcc", length=20_000)
+
+    def run():
+        return make_simulator(ipa=6.0, prefetcher="timekeeping").run(trace)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.prefetch.issued > 0

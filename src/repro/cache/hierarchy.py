@@ -1,11 +1,13 @@
 """Below-L1 memory hierarchy: L2 cache, buses, main memory.
 
-The simulator's L1 miss path (demand or prefetch) calls
-:meth:`MemoryHierarchy.fetch`, which walks the Table-1 machine: request
-the contended L1/L2 bus, look up the 1MB 4-way LRU L2 (12-cycle
-latency), and on an L2 miss cross the 400MHz memory bus to the 70-cycle
-main memory, filling the L2 on the way back.  Prefetch requests use the
-same path but lose bus arbitration to demand traffic.
+An L1 miss walks the Table-1 machine through
+:meth:`MemoryHierarchy.fetch`: request the contended L1/L2 bus, look up
+the 1MB 4-way LRU L2 (12-cycle latency), and on an L2 miss cross the
+400MHz memory bus to the 70-cycle main memory, filling the L2 on the
+way back.  Prefetch requests use the same path but lose bus arbitration
+to demand traffic.  The simulator's scalar loop inlines the demand case
+of :meth:`fetch` (``MemorySimulator._consume``); the reference
+hierarchy in ``tools/equivalence.py`` keeps the two bitwise in step.
 """
 
 from __future__ import annotations

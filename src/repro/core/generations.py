@@ -170,6 +170,19 @@ class GenerationTracker:
         """
         self._on_generation = callback
 
+    @property
+    def has_consumer(self) -> bool:
+        """Whether anything reads closed generations.
+
+        True with an ``on_generation`` callback (metrics bank, flight
+        recorder) or ``keep_records``.  The simulator's scalar loop
+        feeds fill/hit/evict events only while this holds: without a
+        consumer it skips the open-generation upkeep and record
+        construction and just adds to :attr:`closed_generations`, so
+        per-block history (:meth:`last_generation`) is not kept.
+        """
+        return self._on_generation is not None or self._keep
+
     # -- event feed ----------------------------------------------------------
 
     def on_fill(self, frame_id: int, block_addr: int, now: int) -> Optional[int]:

@@ -45,6 +45,11 @@ class PrefetchPolicy(abc.ABC):
     #: True for access-granularity policies (stride) that must see every
     #: demand access, not just frame events.
     wants_all_accesses = False
+    #: True for policies whose :meth:`on_hit` can only act on the first
+    #: demand use of a prefetched block (the hit that leaves the frame
+    #: ``prefetched`` with ``hit_count == 1``); the engine then skips
+    #: the call on every other hit.
+    on_hit_first_use_only = False
 
     @abc.abstractmethod
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,

@@ -41,6 +41,8 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
     """Address + live-time correlation prefetching."""
 
     name = "timekeeping"
+    #: The chain re-arms only at a prefetched block's first demand use.
+    on_hit_first_use_only = True
 
     def __init__(
         self,

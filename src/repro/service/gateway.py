@@ -26,6 +26,9 @@ from .jobs import RequestError
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: The only accepted Content-Length spelling: plain decimal digits.
+_DIGITS = re.compile(r"[0-9]+")
+
 #: The full API surface: (method, path pattern, handler name, summary).
 #: ``<id>`` segments match one non-slash path component.
 ROUTES = (
@@ -202,10 +205,13 @@ class Gateway:
                 headers[name.strip().lower()] = value.strip()
         length = 0
         if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
+            # Digits only: int() also accepts a sign, "_" separators and
+            # surrounding whitespace, and a negative length must never
+            # reach readexactly().
+            raw_length = headers["content-length"]
+            if not _DIGITS.fullmatch(raw_length):
                 raise HttpError(400, "malformed Content-Length")
+            length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         body: Any = None
@@ -216,7 +222,8 @@ class Gateway:
                 raise HttpError(400, "truncated request body")
             try:
                 body = json.loads(data)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the decoder's stack.
                 raise HttpError(400, f"request body is not valid JSON: {exc}")
         return method.upper(), path, body
 

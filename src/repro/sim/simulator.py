@@ -27,6 +27,7 @@ and capacity misses eliminated" upper bound.
 from __future__ import annotations
 
 import gc as _gc
+from heapq import heappop as _heappop
 from itertools import islice as _islice
 from time import perf_counter as _perf_counter
 from typing import Optional
@@ -232,24 +233,21 @@ class MemorySimulator:
             if schedule is not None:
                 self._arm(schedule)
         self.l1.fill(frame, target, when, prefetched=True)
-        self.generations.on_fill(frame_key, target, when)
+        if self.generations.has_consumer:
+            self.generations.on_fill(frame_key, target, when)
         self.bookkeeper.arrived(pending.frame_key, when, displaced)
         self._prefetch_arrived += 1
-
-    def _drain_events(self) -> None:
-        for when, (kind, pending) in self.events.pop_due(self.now):
-            if kind == _FIRE:
-                self._handle_fire(pending)
-            else:
-                self._handle_arrival(pending, when)
-        if self.policy is not None:
-            self._issue_prefetches()
 
     # -- eviction path ------------------------------------------------------------
 
     def _evict(self, frame, frame_key: int, incoming_block: int, now: int) -> None:
         """Close the resident generation; write back dirty data; run
-        victim-cache admission."""
+        victim-cache admission.
+
+        The generation is only built into a record when the tracker has
+        a consumer (see :attr:`GenerationTracker.has_consumer`);
+        otherwise it is just counted.
+        """
         if frame.dirty:
             # Dirty eviction: the block crosses the L1/L2 bus.  This is
             # occupancy only (write-backs are off the critical path) but
@@ -269,14 +267,18 @@ class MemorySimulator:
                     self.now += self.timing.add_fixed_stall(whole, "victim-fill")
             else:
                 self.victim_cache.reject()
-        self.generations.on_evict(
-            frame_key,
-            frame.block_addr,
-            frame.fill_time,
-            frame.live_time(),
-            now,
-            hit_count=frame.hit_count,
-        )
+        generations = self.generations
+        if generations.has_consumer:
+            generations.on_evict(
+                frame_key,
+                frame.block_addr,
+                frame.fill_time,
+                frame.live_time(),
+                now,
+                hit_count=frame.hit_count,
+            )
+        else:
+            generations.closed_generations += 1
 
     # -- warm-up -----------------------------------------------------------------------
 
@@ -451,15 +453,24 @@ class MemorySimulator:
         bookkeeper = self.bookkeeper
         victim_cache = self.victim_cache
         decay = self.decay
+        hierarchy = self.hierarchy
         offset_bits = self._offset_bits
         store_kind = int(AccessType.STORE)
         cold = MissClass.COLD
         perfect_non_cold = self.perfect_non_cold
         wants_all = policy is not None and policy.wants_all_accesses
+        # Policies that can only act on a prefetched block's first
+        # demand use (the hit that leaves it prefetched with one hit)
+        # are not consulted on any other hit.
+        first_use_hits_only = policy is not None and policy.on_hit_first_use_only
 
         l1_tags = l1._tags
         l1_probe = l1_tags.get
+        l1_sets = l1._sets
+        l1_set_mask = l1._set_mask
+        l1_materialize_set = l1._materialize_set
         l1_choose_victim = l1.choose_victim
+        direct_mapped = self._assoc == 1
         l1_valid_counts = l1._valid_counts
         l1_index_bits = l1._index_bits
         l1_invalidate_frame = l1.invalidate_frame
@@ -469,9 +480,14 @@ class MemorySimulator:
         stall_breakdown = timing._breakdown
         hidden_latency = timing.HIDDEN_LATENCY
         mlp = timing._mlp
-        # Generation bookkeeping state, written directly per hit/fill
-        # (the on_hit/on_fill method bodies are inlined below; on_fill's
-        # reload-interval return value is unused on this path).
+        # Generation bookkeeping runs only when a consumer is attached
+        # (metrics bank, flight recorder or keep_records): without one
+        # nothing reads open-generation state or closed records, so the
+        # per-hit/per-fill upkeep and on_evict are skipped and closures
+        # are only counted (n_closed).  With a consumer, the on_hit and
+        # on_fill method bodies are inlined below; on_fill's
+        # reload-interval return value is unused on this path.
+        track_generations = generations.has_consumer
         open_last = generations._open_last
         open_max = generations._open_max
         gen_on_evict = generations.on_evict
@@ -502,17 +518,50 @@ class MemorySimulator:
             shadow_blocks = shadow_move = shadow_popitem = shadow_cap = None
             miss_counts = conflict = capacity = None
         on_access_interval = metrics.access_interval.add if metrics is not None else None
-        mshr_lookup = self.prefetch_mshrs.lookup
+        # In-flight prefetches only exist with a policy configured.
+        mshr_lookup = self.prefetch_mshrs.lookup if policy is not None else None
         mshr_release = self.prefetch_mshrs.release
-        hierarchy_fetch = self.hierarchy.fetch
-        vc_probe = victim_cache.probe if victim_cache is not None else None
+        # Demand fetch (MemoryHierarchy.fetch with prefetch=False) is
+        # inlined per miss: the L2 probe/touch or choose/fill, then the
+        # memory-bus and L1/L2-bus demand grants (Bus.request).  Bus
+        # occupancy is written through; the per-bus demand counters
+        # and the hierarchy's L2 tallies are folded in after the loop.
+        l2 = hierarchy.l2
+        if l2._deferred is not None:
+            l2._thaw()  # the tag store below is read directly
+        l2_probe = l2._tags.get
+        l2_choose_victim = l2.choose_victim
+        l2_fill = l2.fill
+        l2_stamps_on_hit = l2._stamps_on_hit
+        l2_shift = hierarchy._l2_shift
+        l2_hit_latency = hierarchy._l2_hit_latency
+        memory_latency = hierarchy._memory_latency
+        l1_l2_bus = hierarchy.l1_l2_bus
+        memory_bus = hierarchy.memory_bus
+        l1_block_size = self.machine.l1d.block_size
+        l1_l2_cycles = l1_l2_bus.config.transfer_cycles(l1_block_size)
+        memory_cycles = memory_bus.config.transfer_cycles(hierarchy._l2_block)
+        bus_request = l1_l2_bus.request
         events_heap = self.events._heap
         prefetch_queue = self.prefetch_queue
-        # Eviction is inlined below when nothing beyond write-back and
-        # generation closing can happen (no victim cache, no decay).
-        simple_evict = victim_cache is None and decay is None
-        bus_request = self.hierarchy.l1_l2_bus.request
-        l1_block_size = self.machine.l1d.block_size
+        handle_fire = self._handle_fire
+        handle_arrival = self._handle_arrival
+        issue_prefetches = self._issue_prefetches
+        # Eviction is inlined below unless decay is configured: without
+        # a victim cache only write-back and generation closing happen;
+        # with one, the admission call, insert and swap-penalty stall
+        # (VictimCache.insert/reject and _evict's stall) are inlined too.
+        inline_evict = decay is None
+        if victim_cache is not None:
+            vc_blocks = victim_cache._blocks
+            vc_popitem = vc_blocks.popitem
+            vc_entries = victim_cache.entries
+            vc_hit_latency = victim_cache.hit_latency
+            admit = self.admission.admit
+            insert_quarter_cycles = self.victim_insert_quarter_cycles
+            add_fixed_stall = timing.add_fixed_stall
+        else:
+            vc_blocks = None
 
         n_accesses = 0
         total_gap = 0
@@ -528,23 +577,39 @@ class MemorySimulator:
         n_useful = 0
         n_writebacks = 0
         n_perfect = 0
+        n_closed = 0
+        n_vc_probes = 0
+        n_vc_fills = 0
+        n_vc_rejected = 0
+        n_vc_lru_evictions = 0
+        l1_l2_wait = 0
+        memory_wait = 0
 
         try:
             for address, pc, kind, gap in rows:
                 total_gap += gap
                 self.now = now = self.now + gap
                 if events_heap and events_heap[0][0] <= now:
-                    self._drain_events()
+                    # Drain: fire/arrive every event due by now, in
+                    # (cycle, schedule order), then issue prefetches.
+                    while events_heap and events_heap[0][0] <= now:
+                        when, _, (event_kind, pending) = _heappop(events_heap)
+                        if event_kind == _FIRE:
+                            handle_fire(pending)
+                        else:
+                            handle_arrival(pending, when)
+                    if policy is not None:
+                        issue_prefetches()
                     # Draining can fill frames and stall the core
                     # (victim-insert swaps); pick up the advanced clock.
                     now = self.now
-                elif policy is not None and len(prefetch_queue):
+                elif policy is not None and prefetch_queue._queue:
                     # Not a starvation hazard on drain turns: the elif
-                    # is safe because _drain_events itself ends with an
-                    # _issue_prefetches pass, so queued prefetches get
+                    # is safe because the drain itself ends with an
+                    # issue_prefetches pass, so queued prefetches get
                     # an issue opportunity on every access either way
                     # (locked in by test_drain_turn_issues_prefetches).
-                    self._issue_prefetches()
+                    issue_prefetches()
                 n_accesses += 1
                 block = address >> offset_bits
                 store = kind == store_kind
@@ -565,26 +630,30 @@ class MemorySimulator:
                     # truncated generation and drop the line; the access then
                     # takes the ordinary miss path below.
                     decay.on_decayed_hit(frame.fill_time, frame.last_access_time, now)
-                    gen_on_evict(
-                        frame.frame_key,
-                        frame.block_addr,
-                        frame.fill_time,
-                        frame.live_time(),
-                        now,
-                        frame.hit_count,
-                    )
+                    if track_generations:
+                        gen_on_evict(
+                            frame.frame_key,
+                            frame.block_addr,
+                            frame.fill_time,
+                            frame.live_time(),
+                            now,
+                            frame.hit_count,
+                        )
+                    else:
+                        n_closed += 1
                     l1_invalidate_frame(frame)
                     frame = None
                 if frame is not None:
                     frame_key = frame.frame_key
                     first_use = frame.prefetched and frame.hit_count == 0
-                    # Inline of generations.on_hit(frame_key, now).
-                    interval = now - open_last[frame_key]
-                    open_last[frame_key] = now
-                    if interval > open_max[frame_key]:
-                        open_max[frame_key] = interval
-                    if on_access_interval is not None:
-                        on_access_interval(interval)
+                    if track_generations:
+                        # Inline of generations.on_hit(frame_key, now).
+                        interval = now - open_last[frame_key]
+                        open_last[frame_key] = now
+                        if interval > open_max[frame_key]:
+                            open_max[frame_key] = interval
+                        if on_access_interval is not None:
+                            on_access_interval(interval)
                     # Inline of l1.touch(frame, now, store=store).
                     n_touch += 1
                     frame.record_hit(now, store)
@@ -605,7 +674,10 @@ class MemorySimulator:
                     if first_use:
                         n_useful += 1
                         demand_hit_on_prefetched(frame_key, block, now)
-                    if policy is not None:
+                    if policy is not None and (
+                        not first_use_hits_only
+                        or (frame.prefetched and frame.hit_count == 1)
+                    ):
                         schedule = policy.on_hit(frame, frame_key, now)
                         if schedule is not None:
                             self._arm(schedule)
@@ -648,26 +720,60 @@ class MemorySimulator:
                     n_perfect += 1
                     latency = 0
                 else:
-                    if vc_probe is not None and vc_probe(block):
+                    if vc_blocks is not None:
+                        # Inline of victim_cache.probe(block): a hit
+                        # swaps the block back, leaving the buffer.
+                        n_vc_probes += 1
+                        victim_hit = block in vc_blocks
+                        if victim_hit:
+                            del vc_blocks[block]
+                    else:
+                        victim_hit = False
+                    if victim_hit:
                         n_victim_hits += 1
-                        latency = victim_cache.hit_latency
+                        latency = vc_hit_latency
                         category = "l2"
                     else:
-                        inflight = mshr_lookup(block)
+                        inflight = mshr_lookup(block) if mshr_lookup is not None else None
                         if inflight is not None and inflight > now:
                             n_prefetch_hits += 1
                             latency = inflight - now
                             mshr_release(block)
                             category = "l2"
                         else:
-                            fetch = hierarchy_fetch(block, now, store=store)
-                            latency = fetch.latency
-                            if fetch.from_memory:
-                                n_memory += 1
-                                category = "memory"
-                            else:
+                            # Inline of hierarchy.fetch(block, now, store=store).
+                            l2_block = block >> l2_shift
+                            l2_frame = l2_probe(l2_block)
+                            if l2_frame is not None:
+                                l2_frame.record_hit(now, store)
+                                if l2_stamps_on_hit:
+                                    clock = l2._clock + 1
+                                    l2._clock = clock
+                                    l2_frame.lru_stamp = clock
                                 n_l2_hits += 1
                                 category = "l2"
+                                data_at = now + l2_hit_latency
+                            else:
+                                l2_fill(l2_choose_victim(l2_block), l2_block, now, store=store)
+                                n_memory += 1
+                                category = "memory"
+                                # Memory-bus demand grant.
+                                start = now + l2_hit_latency
+                                free_at = memory_bus.free_at
+                                if free_at > start:
+                                    memory_wait += free_at - start
+                                    start = free_at
+                                end = start + memory_cycles
+                                memory_bus.free_at = memory_bus.last_demand_end = end
+                                data_at = end + memory_latency
+                            # L1/L2-bus demand grant.
+                            free_at = l1_l2_bus.free_at
+                            if free_at > data_at:
+                                l1_l2_wait += free_at - data_at
+                                data_at = free_at
+                            end = data_at + l1_l2_cycles
+                            l1_l2_bus.free_at = l1_l2_bus.last_demand_end = end
+                            latency = end - now
                     if latency:
                         # Inline of timing.add_stall(latency, category);
                         # the key is written even for a zero stall, as
@@ -680,27 +786,59 @@ class MemorySimulator:
                         )
                         self.now = now = self.now + stall
 
-                victim_frame = l1_choose_victim(block)
+                if direct_mapped:
+                    frames = l1_sets[block & l1_set_mask]
+                    if frames is None:
+                        frames = l1_materialize_set(block & l1_set_mask)
+                    victim_frame = frames[0]
+                else:
+                    victim_frame = l1_choose_victim(block)
                 frame_key = victim_frame.frame_key
                 if demand_miss is not None:
                     demand_miss(frame_key, block, now)
                 if victim_frame.valid:
-                    if simple_evict:
-                        # Inline of _evict for the common configuration:
-                        # no victim cache and no decay means the clock
-                        # cannot advance here.
+                    if inline_evict:
+                        # Inline of _evict.
                         if victim_frame.dirty:
                             bus_request(now, l1_block_size)
                             n_writebacks += 1
-                        hc = victim_frame.hit_count
-                        gen_on_evict(
-                            frame_key,
-                            victim_frame.block_addr,
-                            victim_frame.fill_time,
-                            victim_frame.lt_register if hc > 0 else 0,
-                            now,
-                            hc,
-                        )
+                        swap_stall = 0
+                        if vc_blocks is not None:
+                            if admit(victim_frame, block, now):
+                                # Inline of victim_cache.insert.
+                                evicted = victim_frame.block_addr
+                                if evicted in vc_blocks:
+                                    del vc_blocks[evicted]
+                                elif len(vc_blocks) >= vc_entries:
+                                    vc_popitem(False)
+                                    n_vc_lru_evictions += 1
+                                vc_blocks[evicted] = now
+                                n_vc_fills += 1
+                                acc = self._victim_penalty_acc + insert_quarter_cycles
+                                if acc >= 4:
+                                    whole = acc // 4
+                                    acc -= 4 * whole
+                                    swap_stall = add_fixed_stall(whole, "victim-fill")
+                                self._victim_penalty_acc = acc
+                            else:
+                                n_vc_rejected += 1
+                        if track_generations:
+                            hc = victim_frame.hit_count
+                            gen_on_evict(
+                                frame_key,
+                                victim_frame.block_addr,
+                                victim_frame.fill_time,
+                                victim_frame.lt_register if hc > 0 else 0,
+                                now,
+                                hc,
+                            )
+                        else:
+                            n_closed += 1
+                        if swap_stall:
+                            # The victim-insert swap stalls the core; the
+                            # fill it caused must not be timestamped
+                            # before that stall.
+                            self.now = now = now + swap_stall
                     else:
                         self._evict(victim_frame, frame_key, block, now)
                         # The victim-insert swap can stall the core; the
@@ -726,10 +864,10 @@ class MemorySimulator:
                 clock = l1._clock + 1
                 l1._clock = clock
                 victim_frame.lru_stamp = clock
-                # Inline of generations.on_fill(frame_key, block, now);
-                # its reload-interval return value is unused here.
-                open_last[frame_key] = now
-                open_max[frame_key] = 0
+                if track_generations:
+                    # Inline of generations.on_fill(frame_key, block, now).
+                    open_last[frame_key] = now
+                    open_max[frame_key] = 0
                 if schedule is not None:
                     self._arm(schedule)
         finally:
@@ -741,6 +879,21 @@ class MemorySimulator:
             l1.hits += n_touch + n_perfect
             l1.misses += n_misses - n_perfect
             l1.evictions += n_evictions
+            l2.hits += n_l2_hits
+            hierarchy.l2_demand_hits += n_l2_hits
+            hierarchy.l2_demand_misses += n_memory
+            hierarchy.memory_accesses += n_memory
+            l1_l2_bus.demand_transfers += n_l2_hits + n_memory
+            l1_l2_bus.demand_wait_cycles += l1_l2_wait
+            memory_bus.demand_transfers += n_memory
+            memory_bus.demand_wait_cycles += memory_wait
+            generations.closed_generations += n_closed
+            if victim_cache is not None:
+                victim_cache.probes += n_vc_probes
+                victim_cache.hits += n_victim_hits
+                victim_cache.fills += n_vc_fills
+                victim_cache.rejected += n_vc_rejected
+                victim_cache.lru_evictions += n_vc_lru_evictions
             self.writebacks += n_writebacks
             self._accesses += n_accesses
             self._prefetch_useful += n_useful

@@ -101,6 +101,14 @@ class TestHistoryAndCallbacks:
         assert len(seen) == 1
         assert seen[0].block_addr == 100
 
+    def test_has_consumer(self):
+        assert not GenerationTracker().has_consumer
+        assert GenerationTracker(keep_records=True).has_consumer
+        g = GenerationTracker(on_generation=lambda record: None)
+        assert g.has_consumer
+        g.set_on_generation(None)
+        assert not g.has_consumer
+
     def test_closed_generation_count(self):
         g = GenerationTracker()
         for i in range(5):

@@ -71,6 +71,30 @@ class TestBitwiseInert:
         assert rec.summary().get("gen", 0) == before
 
 
+class TestConsumerRule:
+    """An armed recorder is a generation consumer on its own: without a
+    metrics bank it must still see every closed generation."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"victim_filter": "timekeeping"}, {"prefetcher": "timekeeping"}],
+        ids=["victim_tk", "pf_tk"],
+    )
+    def test_recorder_without_metrics_sees_every_generation(self, config):
+        trace = build_workload("gcc", length=LENGTH, seed=7)
+        with_metrics = make_simulator(ipa=6.0, collect_metrics=True, **config)
+        with_metrics.run(trace)
+        with FlightRecorder() as rec:
+            sim = make_simulator(ipa=6.0, **config)
+            sim.run(trace)
+        assert sim.metrics is None
+        assert rec.dropped == 0
+        total = with_metrics.metrics.total_generations
+        assert total > 0
+        assert rec.summary()["gen"] == total
+        assert sim.generations.closed_generations == total
+
+
 class TestRingBuffer:
     def test_capacity_bounds_memory_and_counts_drops(self):
         rec = FlightRecorder(capacity=8)

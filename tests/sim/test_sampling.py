@@ -118,6 +118,42 @@ class TestSimulateSampled:
         assert abs(sampled.l1_miss_rate - exact.l1_miss_rate) < 0.05
 
 
+class TestSampledScalarConfigs:
+    """Victim and prefetch cells run their windows through the scalar
+    loop; its per-access trimming must leave sampled results bitwise
+    unchanged.  The digests were recorded from the scalar loop before
+    generation bookkeeping was gated on a consumer; they move only if
+    simulation semantics or the result schema change."""
+
+    DIGESTS = {
+        "victim_tk": "01f292652e0bfc0328f2e5195d7fbb90b3f8999b9c2b0b62c5622346cf85be9a",
+        "pf_tk": "38049d143c144acd263eb757c3e78f82234ad714d0ad2a056681e23318e7caae",
+    }
+    CONFIGS = {
+        "victim_tk": {"victim_filter": "timekeeping"},
+        "pf_tk": {"prefetcher": "timekeeping"},
+    }
+
+    @pytest.mark.parametrize("name", ["victim_tk", "pf_tk"])
+    def test_bitwise_unchanged(self, name):
+        import hashlib
+        import json
+
+        trace = _trace()
+        dicts = []
+        for collect in (False, True):
+            result = simulate_sampled(trace, ipa=3.0, warmup=WARMUP, seed=0,
+                                      collect_metrics=collect,
+                                      **self.CONFIGS[name])
+            assert result.fidelity == "sampled"
+            dicts.append(result.to_dict())
+        # With and without a generation consumer...
+        assert dicts[0] == dicts[1]
+        # ...and against the recorded pre-change result.
+        blob = json.dumps(dicts[0], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[name]
+
+
 class TestSimulateWithFidelity:
     def test_exact_dispatch_is_bitwise_identical(self):
         trace = _trace(length=5_000)

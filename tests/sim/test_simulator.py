@@ -184,3 +184,45 @@ class TestResultSummary:
     def test_outcome_fraction(self):
         r = simulate(trace_of([0, 0, 0, 0]))
         assert r.outcome_fraction(AccessOutcome.L1_HIT) == pytest.approx(0.75)
+
+
+class TestGenerationConsumerRule:
+    """Generation bookkeeping runs only when something consumes it.
+
+    Without a metrics bank, flight recorder or ``keep_records`` the
+    scalar loop skips open-generation upkeep and record construction;
+    results and the closed-generation count must not notice.
+    """
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"victim_filter": "timekeeping"},
+            {"victim_filter": "unfiltered"},
+            {"prefetcher": "timekeeping"},
+            {"decay_interval": 4096},
+        ],
+        ids=["victim_tk", "victim", "pf_tk", "decay"],
+    )
+    def test_closed_generations_match_with_and_without_metrics(self, config):
+        from repro.sim.simulator import make_simulator
+        from repro.traces.workloads import build_workload
+
+        trace = build_workload("gcc", length=6_000, seed=3)
+        runs = {}
+        for collect in (True, False):
+            sim = make_simulator(ipa=6.0, collect_metrics=collect, **config)
+            result = sim.run(trace, warmup=2_000, engine="scalar")
+            assert sim.generations.has_consumer is collect
+            runs[collect] = (result.to_dict(), sim.generations.closed_generations)
+        assert runs[False][1] > 0
+        assert runs[False] == runs[True]
+
+    def test_no_consumer_keeps_no_open_generation_state(self):
+        from repro.traces.workloads import build_workload
+
+        sim = MemorySimulator(victim_filter="timekeeping")
+        sim.run(build_workload("mcf", length=3_000), engine="scalar")
+        assert sim.generations.closed_generations > 0
+        assert sim.generations._open_last == {}
+        assert sim.generations.last_generation(0) is None

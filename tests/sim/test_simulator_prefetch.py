@@ -110,3 +110,26 @@ class TestEngineLimits:
         counts = r.prefetch.timeliness
         assert counts.total == counts.total_correct + counts.total_wrong
         assert counts.total > 0
+
+
+class TestFirstUseOnlyDeclaration:
+    def test_timekeeping_declares_first_use_only(self):
+        assert make_prefetch_policy("timekeeping", paper_machine()).on_hit_first_use_only
+        assert not make_prefetch_policy("dbcp", paper_machine()).on_hit_first_use_only
+        assert not StridePrefetchPolicy(paper_machine().l1d).on_hit_first_use_only
+
+    @pytest.mark.parametrize("workload", ["gcc", "swim"])
+    def test_skipping_other_hits_does_not_change_results(self, workload):
+        """The engine skips ``on_hit`` on every hit but a prefetched
+        block's first use; consulting the policy on all of them must
+        give the same run."""
+        from repro.traces.workloads import build_workload
+
+        trace = build_workload(workload, length=8_000)
+        gated = make_prefetch_policy("timekeeping", paper_machine())
+        ungated = make_prefetch_policy("timekeeping", paper_machine())
+        ungated.on_hit_first_use_only = False
+        a = simulate(trace, prefetch_policy=gated, warmup=2_000)
+        b = simulate(trace, prefetch_policy=ungated, warmup=2_000)
+        assert a.prefetch.scheduled > 0
+        assert a.to_dict() == b.to_dict()

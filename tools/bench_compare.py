@@ -1,8 +1,9 @@
 """Diff fresh benchmark runs against the committed ``BENCH_*.json`` baselines.
 
 Re-measures the probes those files record — simulator throughput under
-both dispatch engines (batch and forced-scalar) and prefetch-path
-throughput from ``BENCH_hotpath.json``, vectorized
+both dispatch engines (batch and forced-scalar), prefetch-path
+throughput, and the scalar victim/prefetch paper configs from
+``BENCH_hotpath.json``, vectorized
 100k-access trace synthesis per workload from ``BENCH_tracecache.json``,
 sampled-tier and analytical-tier runtimes from ``BENCH_fidelity.json``
 — and fails (exit 1) when any probe regresses past the threshold
@@ -40,7 +41,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.sim.simulator import MemorySimulator, simulate
+from repro.sim.simulator import MemorySimulator, make_simulator, simulate
 from repro.traces.workloads import build_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +99,19 @@ def _probe_prefetch() -> Callable[[], Any]:
     return fn
 
 
+def _probe_scalar_config(config: Mapping[str, Any]) -> Callable[[], Any]:
+    # A paper campaign cell shape: no metrics bank, so the scalar loop
+    # runs with generation bookkeeping off.
+    trace = build_workload("gcc", length=20_000)
+
+    def fn() -> None:
+        sim = make_simulator(ipa=6.0, **config)
+        result = sim.run(trace)
+        assert result.accesses == 20_000
+        assert sim.engine_used == "scalar"
+    return fn
+
+
 def _probe_synthesis(workload: str) -> Callable[[], Any]:
     def fn() -> None:
         trace = build_workload(workload, length=100_000, engine="vectorized")
@@ -151,6 +165,12 @@ def default_probes() -> List[Probe]:
         Probe("simulator_with_prefetch", "BENCH_hotpath.json",
               "results.test_perf_simulator_with_prefetch.after_ms.min",
               _probe_prefetch()),
+        Probe("sim.scalar_victim", "BENCH_hotpath.json",
+              "results.test_perf_scalar_victim.after_ms.min",
+              _probe_scalar_config({"victim_filter": "timekeeping"})),
+        Probe("sim.scalar_prefetch", "BENCH_hotpath.json",
+              "results.test_perf_scalar_prefetch.after_ms.min",
+              _probe_scalar_config({"prefetcher": "timekeeping"})),
     ]
     for name in SYNTH_WORKLOADS:
         probes.append(

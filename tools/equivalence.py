@@ -46,17 +46,23 @@ from repro.cache.replacement import LRUPolicy
 from repro.common.config import MachineConfig
 from repro.common.types import AccessOutcome, AccessType, MissClass
 from repro.core.decay import DecayPolicy
-from repro.sim.simulator import MemorySimulator, make_prefetch_policy
+from repro.sim.simulator import _FIRE, MemorySimulator, make_prefetch_policy
 from repro.traces.workloads import build_workload
 
 #: Named machine configurations the harness sweeps.  Keep in sync with
 #: the feature axes of the hot path: victim cache + admission filter,
 #: prefetch engine (events/MSHRs/queue), and decay each take different
 #: branches through ``_consume``.
+#: The ``victim_unfiltered``/``victim_collins``/``prefetch_dbcp`` cells
+#: run without a metrics bank, as the paper campaign does, so they take
+#: the generation-bookkeeping-off branch the consumer-less configs use.
 CONFIGS: Dict[str, Dict[str, Any]] = {
     "default": {},
     "victim": {"victim_filter": "timekeeping"},
+    "victim_unfiltered": {"victim_filter": "unfiltered", "collect_metrics": False},
+    "victim_collins": {"victim_filter": "collins", "collect_metrics": False},
     "prefetch": {"prefetcher": "timekeeping"},
+    "prefetch_dbcp": {"prefetcher": "dbcp", "collect_metrics": False},
     "decay": {"decay_interval": 8192},
     # ``warmup_frac`` is harness-level, not a simulator kwarg: the cell
     # runs with warmup = int(length * frac) extra accesses, exercising
@@ -206,6 +212,16 @@ class ReferenceSimulator(MemorySimulator):
         super().__init__(*args, **kwargs)
         self.l1 = ReferenceCache(self.machine.l1d)
         self.hierarchy = ReferenceHierarchy(self.machine)
+
+    def _drain_events(self) -> None:
+        """Fire/arrive every due event, then issue queued prefetches."""
+        for when, (kind, pending) in self.events.pop_due(self.now):
+            if kind == _FIRE:
+                self._handle_fire(pending)
+            else:
+                self._handle_arrival(pending, when)
+        if self.policy is not None:
+            self._issue_prefetches()
 
     def _consume(self, rows) -> None:
         l1 = self.l1
@@ -391,7 +407,8 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
     — production/batch, production/scalar, and the reference — where
     each comparable dict is the result ``to_dict`` plus the metrics
-    digest.  A ``warmup_frac`` entry in the config adds that fraction
+    digest and the tracker's closed-generation count (which must stay
+    exact even when no consumer reads the generations).  A ``warmup_frac`` entry in the config adds that fraction
     of *length* as extra leading accesses consumed as warmup.
     """
     config = dict(CONFIGS[config_name])
@@ -406,7 +423,11 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
             raise AssertionError(
                 "reference simulator must opt out of the batch engine"
             )
-        out[label] = {"result": result.to_dict(), "metrics": metrics_digest(sim)}
+        out[label] = {
+            "result": result.to_dict(),
+            "metrics": metrics_digest(sim),
+            "closed_generations": sim.generations.closed_generations,
+        }
     return out
 
 
