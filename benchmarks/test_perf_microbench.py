@@ -69,6 +69,19 @@ def test_perf_scalar_prefetch(benchmark):
     assert result.prefetch.issued > 0
 
 
+def test_perf_scalar_dbcp(benchmark):
+    """DBCP baseline prefetcher at the paper config (no metrics bank)."""
+    trace = build_workload("gcc", length=20_000)
+
+    def run():
+        return make_simulator(ipa=6.0, prefetcher="dbcp").run(trace)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    # DBCP issues no prefetches on gcc within 20k accesses: the probe
+    # times its table and policy hooks on the scalar loop.
+    assert result.prefetch.predictor_lookups > 0
+
+
 def test_perf_classifier(benchmark):
     blocks = list(range(4096)) * 3
 

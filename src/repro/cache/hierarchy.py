@@ -5,9 +5,10 @@ An L1 miss walks the Table-1 machine through
 the 1MB 4-way LRU L2 (12-cycle latency), and on an L2 miss cross the
 400MHz memory bus to the 70-cycle main memory, filling the L2 on the
 way back.  Prefetch requests use the same path but lose bus arbitration
-to demand traffic.  The simulator's scalar loop inlines the demand case
-of :meth:`fetch` (``MemorySimulator._consume``); the reference
-hierarchy in ``tools/equivalence.py`` keeps the two bitwise in step.
+to demand traffic.  The simulator's scalar loop inlines both the demand
+and the prefetch case of :meth:`fetch` (``MemorySimulator._consume``);
+the reference hierarchy in ``tools/equivalence.py`` keeps them bitwise
+in step.
 """
 
 from __future__ import annotations

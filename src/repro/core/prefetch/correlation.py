@@ -22,10 +22,10 @@ address; it carries no timing information.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from ...common.errors import ConfigError
-from ..tick import saturate
 
 
 class CorrelationTable:
@@ -62,6 +62,8 @@ class CorrelationTable:
         self.num_sets = 1 << (tag_sum_bits + index_bits)
         self._tag_mask = (1 << tag_sum_bits) - 1
         self._idx_mask = (1 << index_bits) - 1
+        #: Largest live time the field holds (it saturates).
+        self._lt_max = (1 << live_time_bits) - 1
         #: id_tag -> [next_tag, live_time_ticks, confirmed] per set.  An
         #: entry only predicts once the same successor has been observed
         #: twice (a 1-bit confirmation, standard for correlation
@@ -84,21 +86,20 @@ class CorrelationTable:
     def num_entries(self) -> int:
         return self.num_sets * self.associativity
 
-    def _pointer(self, tag_a: int, tag_b: int, set_index: int) -> int:
-        """Pointer construction of Figure 17: truncated tag sum + index bits."""
-        return (((tag_a + tag_b) & self._tag_mask) << self.index_bits) | (
-            set_index & self._idx_mask
-        )
-
     def lookup(self, tag_a: int, tag_b: int, set_index: int) -> Optional[Tuple[int, int]]:
         """Prediction for history (A, B) in *set_index*.
 
         Returns ``(next_tag, live_time_ticks)`` for the entry whose
         identification tag is B, or None on a predictor miss or an
-        unconfirmed entry (successor seen only once so far).
+        unconfirmed entry (successor seen only once so far).  The set
+        pointer is Figure 17's: the truncated tag sum A + B above the
+        low set-index bits.
         """
         self.lookups += 1
-        entries = self._sets[self._pointer(tag_a, tag_b, set_index)]
+        entries = self._sets[
+            (((tag_a + tag_b) & self._tag_mask) << self.index_bits)
+            | (set_index & self._idx_mask)
+        ]
         entry = entries.get(tag_b)
         if entry is None or not entry[2]:
             return None
@@ -116,8 +117,11 @@ class CorrelationTable:
         observation.
         """
         self.updates += 1
-        entries = self._sets[self._pointer(tag_a, tag_b, set_index)]
-        lt = saturate(live_time_ticks, self.live_time_bits)
+        entries = self._sets[
+            (((tag_a + tag_b) & self._tag_mask) << self.index_bits)
+            | (set_index & self._idx_mask)
+        ]
+        lt = live_time_ticks if live_time_ticks < self._lt_max else self._lt_max
         entry = entries.get(tag_b)
         if entry is not None and entry[0] == next_tag:
             entry[1] = lt
@@ -137,6 +141,10 @@ class CorrelationTable:
         self.lookups = 0
         self.lookup_hits = 0
         self.updates = 0
+
+
+#: The contents of a :class:`DBCPTable` set no update has created yet.
+_NO_ENTRIES: Mapping[int, List[int]] = MappingProxyType({})
 
 
 class DBCPTable:
@@ -168,9 +176,11 @@ class DBCPTable:
         #: once the same successor has been observed twice in a row (the
         #: confirmation/confidence mechanism of correlation prefetchers —
         #: without it a single noisy transition would trigger prefetches).
-        self._sets: List["OrderedDict[int, List[int]]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: A set is created by its first update and reads as the shared
+        #: read-only empty set until then: the default table has 32 768
+        #: sets, and building them all up front costs a cell more than
+        #: its lookups do.
+        self._sets: List[Mapping[int, List[int]]] = [_NO_ENTRIES] * self.num_sets
         self.lookups = 0
         self.lookup_hits = 0
         self.updates = 0
@@ -189,16 +199,14 @@ class DBCPTable:
         """
         return (pc * 0x9E3779B1 + block_a * 0x85EBCA6B + block_b) & 0x7FFFFFFFFFFF
 
-    def _pointer(self, signature: int) -> int:
-        return signature & self._mask
-
     def lookup(self, signature: int) -> Optional[int]:
         """Predicted next block address for *signature*, or None.
 
-        Unconfirmed entries (successor seen only once) do not predict.
+        Unconfirmed entries (successor seen only once) do not predict,
+        and neither does a set no update has created yet.
         """
         self.lookups += 1
-        entries = self._sets[self._pointer(signature)]
+        entries = self._sets[signature & self._mask]
         key = signature >> self.pointer_bits
         entry = entries.get(key)
         if entry is None or not entry[1]:
@@ -214,7 +222,10 @@ class DBCPTable:
         successor replaces it unconfirmed.
         """
         self.updates += 1
-        entries = self._sets[self._pointer(signature)]
+        pointer = signature & self._mask
+        entries = self._sets[pointer]
+        if entries is _NO_ENTRIES:
+            entries = self._sets[pointer] = OrderedDict()
         key = signature >> self.pointer_bits
         entry = entries.get(key)
         if entry is not None and entry[0] == next_block_addr:

@@ -62,9 +62,9 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
     def _tag(self, block_addr: int) -> int:
         return block_addr >> self._index_bits
 
-    def _observe_fill(self, frame: Frame, frame_key: int, new_block_addr: int,
-                      pc: int, now: int) -> Optional[ScheduledPrefetch]:
-        state = self._state(frame_key)
+    def _observe_fill(self, state: _FrameState, frame: Frame, frame_key: int,
+                      new_block_addr: int, pc: int,
+                      now: int) -> Optional[ScheduledPrefetch]:
         old_block = 0
         if frame.valid:
             # Close A's generation: remember its hit count and teach the
@@ -89,8 +89,9 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
 
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,
                 pc: int, now: int) -> Optional[ScheduledPrefetch]:
-        self._state(frame_key).last_pc = pc
-        return self._observe_fill(frame, frame_key, new_block_addr, pc, now)
+        state = self._state(frame_key)
+        state.last_pc = pc
+        return self._observe_fill(state, frame, frame_key, new_block_addr, pc, now)
 
     def on_prefetch_fill(self, frame: Frame, frame_key: int, block_addr: int,
                          now: int) -> Optional[ScheduledPrefetch]:
@@ -100,7 +101,8 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
         # last demand-miss PC stands in for the (absent) miss PC so the
         # learned and looked-up signatures stay consistent.
         state = self._state(frame_key)
-        schedule = self._observe_fill(frame, frame_key, block_addr, state.last_pc, now)
+        schedule = self._observe_fill(state, frame, frame_key, block_addr,
+                                      state.last_pc, now)
         if schedule is not None:
             # Revert the immediate arm: hold until first demand use.
             state.armed = False

@@ -17,15 +17,17 @@ frame's single prefetch timer.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ...cache.block import Frame
 
 
-@dataclass(frozen=True)
-class ScheduledPrefetch:
+class ScheduledPrefetch(NamedTuple):
     """A request to arm one frame's prefetch timer.
+
+    A named tuple rather than a frozen dataclass: policies build one
+    per prediction, and a frozen dataclass pays an
+    ``object.__setattr__`` per field on construction.
 
     Attributes:
         frame_key: Identifies the L1 frame (set * assoc + way).

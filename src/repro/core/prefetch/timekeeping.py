@@ -29,12 +29,13 @@ from typing import Optional
 
 from ...cache.block import Frame
 from ...common.config import CacheConfig
-from ..tick import GlobalTicker, saturate
+from ..tick import GlobalTicker
 from .correlation import CorrelationTable
 from .policy import PrefetchPolicy, ScheduledPrefetch
 
 #: Width of the per-line gt/lt/prefetch counters (Figure 18).
 COUNTER_BITS = 5
+_COUNTER_MAX = (1 << COUNTER_BITS) - 1
 
 
 class TimekeepingPrefetchPolicy(PrefetchPolicy):
@@ -55,25 +56,25 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         self.l1 = l1_config
         self.table = table if table is not None else CorrelationTable()
         self.ticker = GlobalTicker(tick_cycles)
+        self._tick_cycles = tick_cycles
         self.live_time_scale = live_time_scale
         self._index_bits = l1_config.index_bits
         self._set_mask = l1_config.num_sets - 1
 
     # -- helpers ---------------------------------------------------------------
 
-    def _tag(self, block_addr: int) -> int:
-        return block_addr >> self._index_bits
-
-    def _block(self, tag: int, set_index: int) -> int:
-        return (tag << self._index_bits) | set_index
-
     def _lt_ticks(self, frame: Frame) -> int:
-        """A frame's live time as the 5-bit tick count the lt register holds."""
-        live = frame.live_time()
-        return saturate(
-            self.ticker.ticks_between(frame.fill_time, frame.fill_time + live),
-            COUNTER_BITS,
-        )
+        """A frame's live time as the 5-bit tick count the lt register holds.
+
+        ``saturate(ticker.ticks_between(fill, fill + live), COUNTER_BITS)``
+        with the tick arithmetic written out: it runs on every table
+        update.
+        """
+        fill = frame.fill_time
+        live = frame.lt_register if frame.hit_count > 0 else 0
+        tick = self._tick_cycles
+        ticks = (fill + live) // tick - fill // tick
+        return ticks if ticks < _COUNTER_MAX else _COUNTER_MAX
 
     def _arm(self, frame_key: int, set_index: int, predicted_tag: int,
              lt_ticks: int, now: int) -> Optional[ScheduledPrefetch]:
@@ -88,21 +89,23 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         every displacement seeds further misses — a feedback storm on
         cache-resident working sets.
         """
-        delay_ticks = saturate(self.live_time_scale * lt_ticks, COUNTER_BITS)
-        if delay_ticks == (1 << COUNTER_BITS) - 1:
+        delay_ticks = self.live_time_scale * lt_ticks
+        if delay_ticks >= _COUNTER_MAX:
             return None
-        tick = self.ticker.tick_cycles
+        tick = self._tick_cycles
         fire_at = ((now // tick) + delay_ticks + 1) * tick
-        return ScheduledPrefetch(frame_key, self._block(predicted_tag, set_index), fire_at)
+        return ScheduledPrefetch(
+            frame_key, (predicted_tag << self._index_bits) | set_index, fire_at
+        )
 
     # -- policy hooks ------------------------------------------------------------
 
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,
                 pc: int, now: int) -> Optional[ScheduledPrefetch]:
-        set_index = new_block_addr & self._set_mask
-        tag_b = self._tag(new_block_addr)
         if not frame.valid:
             return None
+        set_index = new_block_addr & self._set_mask
+        tag_b = new_block_addr >> self._index_bits
         tag_a = frame.tag
         # Update: history (D, A) -> (B, lt(A)).
         if frame.prev_tag >= 0:
@@ -123,7 +126,8 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
             return None
         set_index = block_addr & self._set_mask
         self.table.update(
-            frame.prev_tag, frame.tag, set_index, self._tag(block_addr), self._lt_ticks(frame)
+            frame.prev_tag, frame.tag, set_index, block_addr >> self._index_bits,
+            self._lt_ticks(frame),
         )
         return None
 

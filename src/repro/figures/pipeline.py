@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..common.config import MachineConfig, config_digest, paper_machine
 from ..obs.history import append_best_effort, paper_run_record, resolve_history
 from ..obs.metrics import PHASES, aggregate_phases
 from ..sim.results import SimulationResult
 from ..sim.runner import FaultHook, run_sweep
-from ..sim.store import RunStore
+from ..sim.store import LoadReport, RunStore
 from ..traces.workloads import SPEC2000
 from .registry import CONFIGS, select_specs
 from .spec import CheckResult, FigureArtifact, FigureSpec
@@ -92,19 +92,21 @@ def plan_cells(
 
 
 def load_suite(
-    store: RunStore,
+    store: Union[RunStore, LoadReport],
 ) -> Tuple[Dict[str, Dict[str, SimulationResult]], int]:
     """Rebuild the result suite from a checkpoint store.
 
-    Returns ``({workload: {config: result}}, failed_cell_count)`` in
+    *store* is a :class:`RunStore` (scanned here) or the
+    :class:`LoadReport` of a scan already made.  Returns
+    ``({workload: {config: result}}, failed_cell_count)`` in
     deterministic order (SPEC2000 workload order, registry config
     order) regardless of the order cells happened to finish in — one of
     the two properties that make report regeneration byte-identical.
     """
-    _, cells = store.load()
+    scan = store if isinstance(store, LoadReport) else store.load_report()
     ok: Dict[Tuple[str, str], SimulationResult] = {}
     failed = 0
-    for (workload, config), record in cells.items():
+    for (workload, config), record in scan.cells.items():
         if record.get("status") == "ok":
             ok[(workload, config)] = SimulationResult.from_dict(record["result"])
         else:
@@ -227,13 +229,16 @@ def derive_figures(
     failed_cell_count)``.
     """
     resolved_warmup = warmup if warmup is not None else length // 2
-    suite, stored_failures = load_suite(store)
+    # One scan of the store serves both the suite and the report's
+    # phase table.
+    scan = store.load_report()
+    suite, stored_failures = load_suite(scan)
     artifacts = [_build_artifact(spec, suite) for spec in specs]
     report_text = render_report(
         specs=specs,
         artifacts=artifacts,
         suite=suite,
-        store=store,
+        store=scan,
         length=length,
         seed=seed,
         warmup=resolved_warmup,
@@ -408,13 +413,17 @@ def render_report(
     specs: Sequence[FigureSpec],
     artifacts: Sequence[FigureArtifact],
     suite: Mapping[str, Mapping[str, SimulationResult]],
-    store: RunStore,
+    store: Any,
     length: int,
     seed: int,
     warmup: int,
     failed_cells: int,
 ) -> str:
     """Render ``REPRODUCTION.md`` from store-derived data only.
+
+    *store* is anything with a ``telemetries()`` method — a
+    :class:`RunStore`, the :class:`LoadReport` of one scan of it, or a
+    stand-in — and feeds the phase table.
 
     Deliberately excludes anything that varies between an original run
     and a warm re-run over the same store (timestamps, current wall

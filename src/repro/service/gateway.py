@@ -26,6 +26,11 @@ from .jobs import RequestError
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a client gets to send its header block, and then its body;
+#: a request still incomplete at either deadline is answered 408 and
+#: its connection closed, so a stalled client cannot hold one forever.
+READ_TIMEOUT_S = 30.0
+
 #: The only accepted Content-Length spelling: plain decimal digits.
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -94,7 +99,7 @@ class HttpError(Exception):
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 409: "Conflict",
+            405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
             413: "Payload Too Large", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
@@ -185,11 +190,14 @@ class Gateway:
 
     async def _parse(self, reader: asyncio.StreamReader) -> Tuple[str, str, Any]:
         try:
-            raw = await reader.readuntil(b"\r\n\r\n")
+            raw = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                         READ_TIMEOUT_S)
         except asyncio.LimitOverrunError:
             raise HttpError(413, "request headers too large")
         except (asyncio.IncompleteReadError, ConnectionError):
             raise HttpError(400, "truncated request")
+        except asyncio.TimeoutError:
+            raise HttpError(408, "timed out reading request headers")
         if len(raw) > MAX_HEADER_BYTES:
             raise HttpError(413, "request headers too large")
         head = raw.decode("latin-1").split("\r\n")
@@ -217,9 +225,12 @@ class Gateway:
         body: Any = None
         if length:
             try:
-                data = await reader.readexactly(length)
+                data = await asyncio.wait_for(reader.readexactly(length),
+                                              READ_TIMEOUT_S)
             except (asyncio.IncompleteReadError, ConnectionError):
                 raise HttpError(400, "truncated request body")
+            except asyncio.TimeoutError:
+                raise HttpError(408, "timed out reading request body")
             try:
                 body = json.loads(data)
             except (ValueError, RecursionError) as exc:

@@ -27,7 +27,7 @@ and capacity misses eliminated" upper bound.
 from __future__ import annotations
 
 import gc as _gc
-from heapq import heappop as _heappop
+from heapq import heappop as _heappop, heappush as _heappush
 from itertools import islice as _islice
 from time import perf_counter as _perf_counter
 from typing import Optional
@@ -50,9 +50,9 @@ from ..common.types import AccessOutcome, AccessType, MissClass
 from ..core.decay import DecayPolicy
 from ..core.generations import GenerationTracker
 from ..core.metrics import TimekeepingMetrics
-from ..core.prefetch.policy import PrefetchPolicy, ScheduledPrefetch
+from ..core.prefetch.policy import PrefetchPolicy
 from ..core.prefetch.queue import PrefetchQueue
-from ..core.prefetch.timeliness import PendingPrefetch, PrefetchBookkeeper
+from ..core.prefetch.timeliness import PendingPrefetch, PrefetchBookkeeper, _State
 from ..core.victim import AdmissionFilter, make_admission_filter
 from ..timing.events import EventQueue
 from ..timing.processor import TimingModel
@@ -62,6 +62,13 @@ from .results import PrefetchStats, SimulationResult, VictimStats
 
 _FIRE = 0
 _ARRIVE = 1
+
+# Prefetch lifecycle states (see PrefetchBookkeeper).
+_WAITING = _State.WAITING
+_QUEUED = _State.QUEUED
+_ISSUED = _State.ISSUED
+_ARRIVED = _State.ARRIVED
+_DISCARDED = _State.DISCARDED
 
 #: Engines :meth:`MemorySimulator.run` accepts.
 ENGINES = ("batch", "scalar")
@@ -160,83 +167,6 @@ class MemorySimulator:
         # Hot-path constants.
         self._offset_bits = self.machine.l1d.offset_bits
         self._assoc = self.machine.l1d.associativity
-
-    # -- prefetch engine -------------------------------------------------------
-
-    def _arm(self, schedule: ScheduledPrefetch) -> None:
-        pending = self.bookkeeper.scheduled(
-            schedule.frame_key, schedule.target_block, self.now, schedule.fire_at
-        )
-        self.events.schedule(schedule.fire_at, (_FIRE, pending))
-        self._prefetch_scheduled += 1
-
-    def _handle_fire(self, pending: PendingPrefetch) -> None:
-        if self.bookkeeper.pending_for(pending.frame_key) is not pending:
-            return  # superseded or resolved
-        if self.l1.probe(pending.target_block) is not None:
-            self.bookkeeper.cancel(pending.frame_key)
-            return
-        self.bookkeeper.fired(pending.frame_key)
-        self._prefetch_fired += 1
-        displaced = self.prefetch_queue.push(pending)
-        if displaced is not None:
-            self.bookkeeper.discarded(displaced)
-
-    def _issue_prefetches(self) -> None:
-        self.prefetch_mshrs.expire(self.now)
-        while len(self.prefetch_queue):
-            pending = self.prefetch_queue.peek()
-            if self.bookkeeper.pending_for(pending.frame_key) is not pending:
-                self.prefetch_queue.pop()  # stale entry
-                continue
-            if self.l1.probe(pending.target_block) is not None:
-                self.prefetch_queue.pop()
-                self.bookkeeper.cancel(pending.frame_key)
-                continue
-            if len(self.prefetch_mshrs) >= self.prefetch_mshrs.entries:
-                break
-            self.prefetch_queue.pop()
-            fetch = self.hierarchy.fetch(pending.target_block, self.now, prefetch=True)
-            self.prefetch_mshrs.allocate(pending.target_block, fetch.completes_at)
-            self.bookkeeper.issued(pending.frame_key, self.now)
-            self.events.schedule(fetch.completes_at, (_ARRIVE, pending))
-            self._prefetch_issued += 1
-
-    def _handle_arrival(self, pending: PendingPrefetch, when: int) -> None:
-        if self.bookkeeper.pending_for(pending.frame_key) is not pending:
-            # Resolved or superseded while in flight (e.g. merged with a
-            # demand).  Retire the MSHR entry only when it is this
-            # arrival's own fetch: a newer in-flight fetch of the same
-            # block completes later than *when*, and dropping its entry
-            # here would prevent demands from merging with it.
-            completes = self.prefetch_mshrs.lookup(pending.target_block)
-            if completes is not None and completes <= when:
-                self.prefetch_mshrs.release(pending.target_block)
-            return
-        self.prefetch_mshrs.release(pending.target_block)
-        target = pending.target_block
-        if self.l1.probe(target) is not None:
-            self.bookkeeper.cancel(pending.frame_key)
-            return
-        frame = self.l1.choose_victim(target)
-        frame_key = frame.frame_key
-        displaced = -1
-        if frame.valid:
-            displaced = frame.block_addr
-            before = self.now
-            self._evict(frame, frame_key, target, when)
-            # The victim-insert swap can stall the core; the fill it
-            # caused must not be timestamped before that stall.
-            when += self.now - before
-        if self.policy is not None:
-            schedule = self.policy.on_prefetch_fill(frame, frame_key, target, when)
-            if schedule is not None:
-                self._arm(schedule)
-        self.l1.fill(frame, target, when, prefetched=True)
-        if self.generations.has_consumer:
-            self.generations.on_fill(frame_key, target, when)
-        self.bookkeeper.arrived(pending.frame_key, when, displaced)
-        self._prefetch_arrived += 1
 
     # -- eviction path ------------------------------------------------------------
 
@@ -443,6 +373,14 @@ class MemorySimulator:
         outcome tallies are plain integers folded back into the
         :class:`AccessOutcome` dict once, after the loop — per-access
         dict/attribute traffic is what sweep throughput is made of.
+
+        The prefetch engine lives entirely in this loop: the event
+        drain (timer fires and prefetch arrivals), the issue pass (the
+        prefetch case of :meth:`MemoryHierarchy.fetch`, MSHR
+        allocation) and timer arming work on the event heap, prefetch
+        queue, MSHR map and bookkeeper state directly.  Only the policy
+        hooks stay calls.  ``tools/equivalence.py`` keeps the
+        method-per-step engine as the reference it is diffed against.
         """
         l1 = self.l1
         timing = self.timing
@@ -491,8 +429,9 @@ class MemorySimulator:
         open_last = generations._open_last
         open_max = generations._open_max
         gen_on_evict = generations.on_evict
+        gen_on_fill = generations.on_fill
         gen_last = generations.last_generation
-        # A pending can only exist via the policy's _arm path, so the
+        # A pending can only exist via a policy's arm, so the
         # bookkeeper's miss-time resolution is a guaranteed no-op (and
         # is skipped) when no prefetcher is configured.
         demand_miss = bookkeeper.demand_miss if policy is not None else None
@@ -518,9 +457,6 @@ class MemorySimulator:
             shadow_blocks = shadow_move = shadow_popitem = shadow_cap = None
             miss_counts = conflict = capacity = None
         on_access_interval = metrics.access_interval.add if metrics is not None else None
-        # In-flight prefetches only exist with a policy configured.
-        mshr_lookup = self.prefetch_mshrs.lookup if policy is not None else None
-        mshr_release = self.prefetch_mshrs.release
         # Demand fetch (MemoryHierarchy.fetch with prefetch=False) is
         # inlined per miss: the L2 probe/touch or choose/fill, then the
         # memory-bus and L1/L2-bus demand grants (Bus.request).  Bus
@@ -529,7 +465,13 @@ class MemorySimulator:
         l2 = hierarchy.l2
         if l2._deferred is not None:
             l2._thaw()  # the tag store below is read directly
-        l2_probe = l2._tags.get
+        l2_tags = l2._tags
+        l2_probe = l2_tags.get
+        l2_sets = l2._sets
+        l2_set_mask = l2._set_mask
+        l2_valid_counts = l2._valid_counts
+        l2_index_bits = l2._index_bits
+        l2_lru_insert = l2.associativity > 1
         l2_choose_victim = l2.choose_victim
         l2_fill = l2.fill
         l2_stamps_on_hit = l2._stamps_on_hit
@@ -541,16 +483,29 @@ class MemorySimulator:
         l1_block_size = self.machine.l1d.block_size
         l1_l2_cycles = l1_l2_bus.config.transfer_cycles(l1_block_size)
         memory_cycles = memory_bus.config.transfer_cycles(hierarchy._l2_block)
+        l1_l2_shadow = l1_l2_bus.demand_shadow
+        memory_shadow = memory_bus.demand_shadow
         bus_request = l1_l2_bus.request
+        # Prefetch engine state, used in place of the EventQueue,
+        # PrefetchBookkeeper, MSHRFile and PrefetchQueue methods.  Events
+        # are (cycle, sequence, (kind, pending)) heap entries; the
+        # queue's own counter breaks same-cycle ties in schedule order.
         events_heap = self.events._heap
+        next_seq = self.events._counter.__next__
+        pending_map = bookkeeper._pending
+        displaced_map = bookkeeper._displaced
+        mshr_inflight = self.prefetch_mshrs._inflight
+        mshr_entries = self.prefetch_mshrs.entries
         prefetch_queue = self.prefetch_queue
-        handle_fire = self._handle_fire
-        handle_arrival = self._handle_arrival
-        issue_prefetches = self._issue_prefetches
+        pq = prefetch_queue._queue
+        pq_popleft = pq.popleft
+        pq_capacity = prefetch_queue.capacity
         # Eviction is inlined below unless decay is configured: without
         # a victim cache only write-back and generation closing happen;
         # with one, the admission call, insert and swap-penalty stall
         # (VictimCache.insert/reject and _evict's stall) are inlined too.
+        # A prefetch arrival's eviction is inlined only in the plain
+        # case (no victim cache, no decay) and calls _evict otherwise.
         inline_evict = decay is None
         if victim_cache is not None:
             vc_blocks = victim_cache._blocks
@@ -562,6 +517,7 @@ class MemorySimulator:
             add_fixed_stall = timing.add_fixed_stall
         else:
             vc_blocks = None
+        inline_arrival_evict = inline_evict and vc_blocks is None
 
         n_accesses = 0
         total_gap = 0
@@ -584,6 +540,21 @@ class MemorySimulator:
         n_vc_lru_evictions = 0
         l1_l2_wait = 0
         memory_wait = 0
+        n_scheduled = 0
+        n_superseded = 0
+        n_fired = 0
+        n_cancelled = 0
+        n_enqueued = 0
+        n_discarded = 0
+        n_issued = 0
+        n_arrived = 0
+        n_mshr_allocations = 0
+        n_mshr_merges = 0
+        n_l2_pf_hits = 0
+        n_l2_pf_misses = 0
+        n_l2_pf_evictions = 0
+        l1_l2_pf_wait = 0
+        memory_pf_wait = 0
 
         try:
             for address, pc, kind, gap in rows:
@@ -591,25 +562,240 @@ class MemorySimulator:
                 self.now = now = self.now + gap
                 if events_heap and events_heap[0][0] <= now:
                     # Drain: fire/arrive every event due by now, in
-                    # (cycle, schedule order), then issue prefetches.
+                    # (cycle, schedule order).
                     while events_heap and events_heap[0][0] <= now:
                         when, _, (event_kind, pending) = _heappop(events_heap)
+                        pending_key = pending.frame_key
+                        target = pending.target_block
                         if event_kind == _FIRE:
-                            handle_fire(pending)
+                            # Timer fire: a live prediction whose target
+                            # is not resident enters the queue, which
+                            # drops (discards) its oldest request when
+                            # full.
+                            if pending_map.get(pending_key) is not pending:
+                                continue  # superseded or resolved
+                            if target in l1_tags:
+                                del pending_map[pending_key]
+                                if pending.displaced_block >= 0:
+                                    displaced_map.pop(pending.displaced_block, None)
+                                n_cancelled += 1
+                                continue
+                            if pending.state == _WAITING:
+                                pending.state = _QUEUED
+                            n_fired += 1
+                            if len(pq) >= pq_capacity:
+                                dropped = pq_popleft()
+                                n_discarded += 1
+                                if dropped.state == _QUEUED:
+                                    dropped.state = _DISCARDED
+                            pq.append(pending)
+                            n_enqueued += 1
+                            continue
+                        # Prefetch arrival.
+                        if pending_map.get(pending_key) is not pending:
+                            # Resolved or superseded while in flight
+                            # (e.g. merged with a demand).  Retire the
+                            # MSHR entry only when it is this arrival's
+                            # own fetch: a newer in-flight fetch of the
+                            # same block completes later than *when*,
+                            # and dropping its entry here would prevent
+                            # demands from merging with it.
+                            completes = mshr_inflight.get(target)
+                            if completes is not None and completes <= when:
+                                del mshr_inflight[target]
+                            continue
+                        mshr_inflight.pop(target, None)
+                        if target in l1_tags:
+                            del pending_map[pending_key]
+                            if pending.displaced_block >= 0:
+                                displaced_map.pop(pending.displaced_block, None)
+                            n_cancelled += 1
+                            continue
+                        if direct_mapped:
+                            frames = l1_sets[target & l1_set_mask]
+                            if frames is None:
+                                frames = l1_materialize_set(target & l1_set_mask)
+                            frame = frames[0]
                         else:
-                            handle_arrival(pending, when)
-                    if policy is not None:
-                        issue_prefetches()
+                            frame = l1_choose_victim(target)
+                        frame_key = frame.frame_key
+                        displaced = -1
+                        if frame.valid:
+                            displaced = frame.block_addr
+                            if inline_arrival_evict:
+                                if frame.dirty:
+                                    bus_request(when, l1_block_size)
+                                    n_writebacks += 1
+                                if track_generations:
+                                    gen_on_evict(
+                                        frame_key,
+                                        displaced,
+                                        frame.fill_time,
+                                        frame.live_time(),
+                                        when,
+                                        frame.hit_count,
+                                    )
+                                else:
+                                    n_closed += 1
+                            else:
+                                before = self.now
+                                self._evict(frame, frame_key, target, when)
+                                # The victim-insert swap can stall the
+                                # core; the fill it caused must not be
+                                # timestamped before that stall.
+                                when += self.now - before
+                        if policy is not None:
+                            schedule = policy.on_prefetch_fill(frame, frame_key, target, when)
+                            if schedule is not None:
+                                # Arm (see the end of the access).
+                                key = schedule.frame_key
+                                old = pending_map.get(key)
+                                if old is not None:
+                                    if old.displaced_block >= 0:
+                                        displaced_map.pop(old.displaced_block, None)
+                                    n_superseded += 1
+                                fire_at = schedule.fire_at
+                                armed = PendingPrefetch(
+                                    key, schedule.target_block, self.now, fire_at
+                                )
+                                pending_map[key] = armed
+                                _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
+                                n_scheduled += 1
+                        # Prefetched L1 fill (no LRU insert, no miss count).
+                        if frame.valid:
+                            n_evictions += 1
+                            del l1_tags[displaced]
+                        else:
+                            l1_valid_counts[frame.set_index] += 1
+                        frame.reset_generation(target, target >> l1_index_bits, when, True)
+                        l1_tags[target] = frame
+                        clock = l1._clock + 1
+                        l1._clock = clock
+                        frame.lru_stamp = clock
+                        if track_generations:
+                            gen_on_fill(frame_key, target, when)
+                        # The frame's prediction (normally this one) has
+                        # arrived.
+                        current = pending_map.get(pending_key)
+                        if current is not None and (
+                            current.state == _ISSUED or current.state == _QUEUED
+                        ):
+                            current.state = _ARRIVED
+                            current.arrived_at = when
+                            current.displaced_block = displaced
+                            if displaced >= 0:
+                                displaced_map[displaced] = pending_key
+                        n_arrived += 1
                     # Draining can fill frames and stall the core
                     # (victim-insert swaps); pick up the advanced clock.
                     now = self.now
-                elif policy is not None and prefetch_queue._queue:
-                    # Not a starvation hazard on drain turns: the elif
-                    # is safe because the drain itself ends with an
-                    # issue_prefetches pass, so queued prefetches get
-                    # an issue opportunity on every access either way
-                    # (locked in by test_drain_turn_issues_prefetches).
-                    issue_prefetches()
+                if pq and policy is not None:
+                    # Issue pass.  Every access that finds requests
+                    # queued (drain turn or not) gives them one issue
+                    # opportunity (locked in by
+                    # test_drain_turn_issues_prefetches).  MSHRs whose
+                    # fetch completed by now retire first; an access
+                    # with an empty queue skips that, which nothing can
+                    # observe: merges ignore completed entries and
+                    # arrivals retire their own.
+                    if mshr_inflight:
+                        for inflight_block, completes in list(mshr_inflight.items()):
+                            if completes <= now:
+                                del mshr_inflight[inflight_block]
+                    while pq:
+                        pending = pq[0]
+                        pending_key = pending.frame_key
+                        if pending_map.get(pending_key) is not pending:
+                            pq_popleft()  # stale entry
+                            continue
+                        target = pending.target_block
+                        if target in l1_tags:
+                            pq_popleft()
+                            del pending_map[pending_key]
+                            if pending.displaced_block >= 0:
+                                displaced_map.pop(pending.displaced_block, None)
+                            n_cancelled += 1
+                            continue
+                        if len(mshr_inflight) >= mshr_entries:
+                            break
+                        pq_popleft()
+                        # Prefetch fetch: L2 probe/touch, or a fill at
+                        # the LRU position of its set (anti-pollution
+                        # placement) plus a memory-bus prefetch grant;
+                        # then the L1/L2-bus prefetch grant.  Prefetch
+                        # grants also wait out the bus's demand shadow.
+                        l2_block = target >> l2_shift
+                        l2_frame = l2_probe(l2_block)
+                        if l2_frame is not None:
+                            l2_frame.record_hit(now, False)
+                            if l2_stamps_on_hit:
+                                clock = l2._clock + 1
+                                l2._clock = clock
+                                l2_frame.lru_stamp = clock
+                            n_l2_pf_hits += 1
+                            data_at = now + l2_hit_latency
+                        else:
+                            l2_frame = l2_choose_victim(l2_block)
+                            if l2_frame.valid:
+                                n_l2_pf_evictions += 1
+                                del l2_tags[l2_frame.block_addr]
+                            else:
+                                l2_valid_counts[l2_frame.set_index] += 1
+                            l2_frame.reset_generation(
+                                l2_block, l2_block >> l2_index_bits, now
+                            )
+                            l2_tags[l2_block] = l2_frame
+                            if l2_lru_insert:
+                                # One below the set's other stamps.  (No
+                                # comprehensions in this function: one
+                                # would turn the names it reads into
+                                # closure cells for the whole loop.)
+                                lowest = None
+                                for other in l2_sets[l2_block & l2_set_mask]:
+                                    if other is not l2_frame and (
+                                        lowest is None or other.lru_stamp < lowest
+                                    ):
+                                        lowest = other.lru_stamp
+                                l2_frame.lru_stamp = lowest - 1
+                            else:
+                                clock = l2._clock + 1
+                                l2._clock = clock
+                                l2_frame.lru_stamp = clock
+                            n_l2_pf_misses += 1
+                            requested = now + l2_hit_latency
+                            free_at = memory_bus.free_at
+                            start = requested if requested > free_at else free_at
+                            horizon = memory_bus.last_demand_end + memory_shadow
+                            if start < horizon:
+                                start = horizon
+                            memory_pf_wait += start - requested
+                            end = start + memory_cycles
+                            memory_bus.free_at = end
+                            data_at = end + memory_latency
+                        free_at = l1_l2_bus.free_at
+                        start = data_at if data_at > free_at else free_at
+                        horizon = l1_l2_bus.last_demand_end + l1_l2_shadow
+                        if start < horizon:
+                            start = horizon
+                        l1_l2_pf_wait += start - data_at
+                        completes = start + l1_l2_cycles
+                        l1_l2_bus.free_at = completes
+                        # MSHR allocation (the file has a free entry);
+                        # a block already in flight merges, keeping the
+                        # earlier completion.
+                        existing = mshr_inflight.get(target)
+                        if existing is not None:
+                            n_mshr_merges += 1
+                            if completes < existing:
+                                mshr_inflight[target] = completes
+                        else:
+                            mshr_inflight[target] = completes
+                            n_mshr_allocations += 1
+                        if pending.state == _QUEUED:
+                            pending.state = _ISSUED
+                            pending.issued_at = now
+                        _heappush(events_heap, (completes, next_seq(), (_ARRIVE, pending)))
+                        n_issued += 1
                 n_accesses += 1
                 block = address >> offset_bits
                 store = kind == store_kind
@@ -617,7 +803,18 @@ class MemorySimulator:
                 if wants_all:
                     schedule = policy.on_access(address, pc, now)
                     if schedule is not None:
-                        self._arm(schedule)
+                        # Arm (see the end of the access).
+                        key = schedule.frame_key
+                        old = pending_map.get(key)
+                        if old is not None:
+                            if old.displaced_block >= 0:
+                                displaced_map.pop(old.displaced_block, None)
+                            n_superseded += 1
+                        fire_at = schedule.fire_at
+                        armed = PendingPrefetch(key, schedule.target_block, now, fire_at)
+                        pending_map[key] = armed
+                        _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
+                        n_scheduled += 1
 
                 frame = l1_probe(block)
                 if (
@@ -654,9 +851,21 @@ class MemorySimulator:
                             open_max[frame_key] = interval
                         if on_access_interval is not None:
                             on_access_interval(interval)
-                    # Inline of l1.touch(frame, now, store=store).
+                    # Inline of l1.touch(frame, now, store=store) and of
+                    # Frame.record_hit: a prefetched block's first
+                    # demand use re-anchors its generation there.
                     n_touch += 1
-                    frame.record_hit(now, store)
+                    if frame.prefetched and not frame.prefetch_used:
+                        frame.prefetch_used = True
+                        frame.fill_time = now
+                        frame.lt_register = 0
+                        frame.hit_count = 1
+                    else:
+                        frame.hit_count += 1
+                        frame.lt_register = now - frame.fill_time
+                    frame.last_access_time = now
+                    if store:
+                        frame.dirty = True
                     if stamps_on_hit:
                         clock = l1._clock + 1
                         l1._clock = clock
@@ -674,202 +883,219 @@ class MemorySimulator:
                     if first_use:
                         n_useful += 1
                         demand_hit_on_prefetched(frame_key, block, now)
-                    if policy is not None and (
-                        not first_use_hits_only
-                        or (frame.prefetched and frame.hit_count == 1)
+                    if policy is None or (
+                        first_use_hits_only
+                        and not (frame.prefetched and frame.hit_count == 1)
                     ):
-                        schedule = policy.on_hit(frame, frame_key, now)
-                        if schedule is not None:
-                            self._arm(schedule)
-                    continue
-
-                # ---- miss path ----
-                miss_class = None
-                if classifying:
-                    # Inline of classifier.classify_miss(block).
-                    if block not in seen_set:
-                        miss_counts.cold += 1
-                        miss_class = cold
-                    elif block in shadow_blocks:
-                        miss_counts.conflict += 1
-                        miss_class = conflict
-                    else:
-                        miss_counts.capacity += 1
-                        miss_class = capacity
-                    # Inline of classifier.record_access(block).
-                    seen_add(block)
-                    if block in shadow_blocks:
-                        shadow_move(block)
-                    else:
-                        if len(shadow_blocks) >= shadow_cap:
-                            shadow_popitem(False)
-                        shadow_blocks[block] = None
-                if metrics is not None and miss_class is not None and miss_class != cold:
-                    last = gen_last(block)
-                    if last is not None:
-                        metrics.on_miss_correlation(
-                            miss_class, now - last.start, last.dead_time, last.live_time
-                        )
-
-                # Latency source.
-                if perfect_non_cold and miss_class != cold:
-                    # Charged as an L1 hit across the board (outcome
-                    # tally *and* mechanism counters; see the class
-                    # docstring) — state still takes the fill path.
-                    n_l1_hits += 1
-                    n_perfect += 1
-                    latency = 0
+                        continue
+                    schedule = policy.on_hit(frame, frame_key, now)
                 else:
-                    if vc_blocks is not None:
-                        # Inline of victim_cache.probe(block): a hit
-                        # swaps the block back, leaving the buffer.
-                        n_vc_probes += 1
-                        victim_hit = block in vc_blocks
+                    # ---- miss path ----
+                    miss_class = None
+                    if classifying:
+                        # Inline of classifier.classify_miss(block).
+                        if block not in seen_set:
+                            miss_counts.cold += 1
+                            miss_class = cold
+                        elif block in shadow_blocks:
+                            miss_counts.conflict += 1
+                            miss_class = conflict
+                        else:
+                            miss_counts.capacity += 1
+                            miss_class = capacity
+                        # Inline of classifier.record_access(block).
+                        seen_add(block)
+                        if block in shadow_blocks:
+                            shadow_move(block)
+                        else:
+                            if len(shadow_blocks) >= shadow_cap:
+                                shadow_popitem(False)
+                            shadow_blocks[block] = None
+                    if metrics is not None and miss_class is not None and miss_class != cold:
+                        last = gen_last(block)
+                        if last is not None:
+                            metrics.on_miss_correlation(
+                                miss_class, now - last.start, last.dead_time, last.live_time
+                            )
+
+                    # Latency source.
+                    if perfect_non_cold and miss_class != cold:
+                        # Charged as an L1 hit across the board (outcome
+                        # tally *and* mechanism counters; see the class
+                        # docstring) — state still takes the fill path.
+                        n_l1_hits += 1
+                        n_perfect += 1
+                        latency = 0
+                    else:
+                        if vc_blocks is not None:
+                            # Inline of victim_cache.probe(block): a hit
+                            # swaps the block back, leaving the buffer.
+                            n_vc_probes += 1
+                            victim_hit = block in vc_blocks
+                            if victim_hit:
+                                del vc_blocks[block]
+                        else:
+                            victim_hit = False
                         if victim_hit:
-                            del vc_blocks[block]
-                    else:
-                        victim_hit = False
-                    if victim_hit:
-                        n_victim_hits += 1
-                        latency = vc_hit_latency
-                        category = "l2"
-                    else:
-                        inflight = mshr_lookup(block) if mshr_lookup is not None else None
-                        if inflight is not None and inflight > now:
-                            n_prefetch_hits += 1
-                            latency = inflight - now
-                            mshr_release(block)
+                            n_victim_hits += 1
+                            latency = vc_hit_latency
                             category = "l2"
                         else:
-                            # Inline of hierarchy.fetch(block, now, store=store).
-                            l2_block = block >> l2_shift
-                            l2_frame = l2_probe(l2_block)
-                            if l2_frame is not None:
-                                l2_frame.record_hit(now, store)
-                                if l2_stamps_on_hit:
-                                    clock = l2._clock + 1
-                                    l2._clock = clock
-                                    l2_frame.lru_stamp = clock
-                                n_l2_hits += 1
+                            inflight = mshr_inflight.get(block) if mshr_inflight else None
+                            if inflight is not None and inflight > now:
+                                # Merge with the in-flight prefetch.
+                                n_prefetch_hits += 1
+                                latency = inflight - now
+                                del mshr_inflight[block]
                                 category = "l2"
-                                data_at = now + l2_hit_latency
                             else:
-                                l2_fill(l2_choose_victim(l2_block), l2_block, now, store=store)
-                                n_memory += 1
-                                category = "memory"
-                                # Memory-bus demand grant.
-                                start = now + l2_hit_latency
-                                free_at = memory_bus.free_at
-                                if free_at > start:
-                                    memory_wait += free_at - start
-                                    start = free_at
-                                end = start + memory_cycles
-                                memory_bus.free_at = memory_bus.last_demand_end = end
-                                data_at = end + memory_latency
-                            # L1/L2-bus demand grant.
-                            free_at = l1_l2_bus.free_at
-                            if free_at > data_at:
-                                l1_l2_wait += free_at - data_at
-                                data_at = free_at
-                            end = data_at + l1_l2_cycles
-                            l1_l2_bus.free_at = l1_l2_bus.last_demand_end = end
-                            latency = end - now
-                    if latency:
-                        # Inline of timing.add_stall(latency, category);
-                        # the key is written even for a zero stall, as
-                        # add_stall does, so breakdowns stay identical.
-                        exposed = latency - hidden_latency
-                        stall = int(exposed / mlp) if exposed > 0 else 0
-                        n_stall += stall
-                        stall_breakdown[category] = (
-                            stall_breakdown.get(category, 0) + stall
-                        )
-                        self.now = now = self.now + stall
-
-                if direct_mapped:
-                    frames = l1_sets[block & l1_set_mask]
-                    if frames is None:
-                        frames = l1_materialize_set(block & l1_set_mask)
-                    victim_frame = frames[0]
-                else:
-                    victim_frame = l1_choose_victim(block)
-                frame_key = victim_frame.frame_key
-                if demand_miss is not None:
-                    demand_miss(frame_key, block, now)
-                if victim_frame.valid:
-                    if inline_evict:
-                        # Inline of _evict.
-                        if victim_frame.dirty:
-                            bus_request(now, l1_block_size)
-                            n_writebacks += 1
-                        swap_stall = 0
-                        if vc_blocks is not None:
-                            if admit(victim_frame, block, now):
-                                # Inline of victim_cache.insert.
-                                evicted = victim_frame.block_addr
-                                if evicted in vc_blocks:
-                                    del vc_blocks[evicted]
-                                elif len(vc_blocks) >= vc_entries:
-                                    vc_popitem(False)
-                                    n_vc_lru_evictions += 1
-                                vc_blocks[evicted] = now
-                                n_vc_fills += 1
-                                acc = self._victim_penalty_acc + insert_quarter_cycles
-                                if acc >= 4:
-                                    whole = acc // 4
-                                    acc -= 4 * whole
-                                    swap_stall = add_fixed_stall(whole, "victim-fill")
-                                self._victim_penalty_acc = acc
-                            else:
-                                n_vc_rejected += 1
-                        if track_generations:
-                            hc = victim_frame.hit_count
-                            gen_on_evict(
-                                frame_key,
-                                victim_frame.block_addr,
-                                victim_frame.fill_time,
-                                victim_frame.lt_register if hc > 0 else 0,
-                                now,
-                                hc,
+                                # Inline of hierarchy.fetch(block, now, store=store).
+                                l2_block = block >> l2_shift
+                                l2_frame = l2_probe(l2_block)
+                                if l2_frame is not None:
+                                    l2_frame.record_hit(now, store)
+                                    if l2_stamps_on_hit:
+                                        clock = l2._clock + 1
+                                        l2._clock = clock
+                                        l2_frame.lru_stamp = clock
+                                    n_l2_hits += 1
+                                    category = "l2"
+                                    data_at = now + l2_hit_latency
+                                else:
+                                    l2_fill(l2_choose_victim(l2_block), l2_block, now, store=store)
+                                    n_memory += 1
+                                    category = "memory"
+                                    # Memory-bus demand grant.
+                                    start = now + l2_hit_latency
+                                    free_at = memory_bus.free_at
+                                    if free_at > start:
+                                        memory_wait += free_at - start
+                                        start = free_at
+                                    end = start + memory_cycles
+                                    memory_bus.free_at = memory_bus.last_demand_end = end
+                                    data_at = end + memory_latency
+                                # L1/L2-bus demand grant.
+                                free_at = l1_l2_bus.free_at
+                                if free_at > data_at:
+                                    l1_l2_wait += free_at - data_at
+                                    data_at = free_at
+                                end = data_at + l1_l2_cycles
+                                l1_l2_bus.free_at = l1_l2_bus.last_demand_end = end
+                                latency = end - now
+                        if latency:
+                            # Inline of timing.add_stall(latency, category);
+                            # the key is written even for a zero stall, as
+                            # add_stall does, so breakdowns stay identical.
+                            exposed = latency - hidden_latency
+                            stall = int(exposed / mlp) if exposed > 0 else 0
+                            n_stall += stall
+                            stall_breakdown[category] = (
+                                stall_breakdown.get(category, 0) + stall
                             )
-                        else:
-                            n_closed += 1
-                        if swap_stall:
-                            # The victim-insert swap stalls the core; the
-                            # fill it caused must not be timestamped
-                            # before that stall.
-                            self.now = now = now + swap_stall
+                            self.now = now = self.now + stall
+
+                    if direct_mapped:
+                        frames = l1_sets[block & l1_set_mask]
+                        if frames is None:
+                            frames = l1_materialize_set(block & l1_set_mask)
+                        victim_frame = frames[0]
                     else:
-                        self._evict(victim_frame, frame_key, block, now)
-                        # The victim-insert swap can stall the core; the
-                        # fill it caused must not be timestamped before
-                        # that stall.
-                        now = self.now
-                if policy is not None:
-                    schedule = policy.on_miss(victim_frame, frame_key, block, pc, now)
-                else:
-                    schedule = None
-                # Inline of l1.fill(victim_frame, block, now, store=store)
-                # — demand fills never use lru_insert.
-                if victim_frame.valid:
-                    n_evictions += 1
-                    del l1_tags[victim_frame.block_addr]
-                else:
-                    l1_valid_counts[victim_frame.set_index] += 1
-                n_misses += 1
-                victim_frame.reset_generation(block, block >> l1_index_bits, now)
-                l1_tags[block] = victim_frame
-                if store:
-                    victim_frame.dirty = True
-                clock = l1._clock + 1
-                l1._clock = clock
-                victim_frame.lru_stamp = clock
-                if track_generations:
-                    # Inline of generations.on_fill(frame_key, block, now).
-                    open_last[frame_key] = now
-                    open_max[frame_key] = 0
+                        victim_frame = l1_choose_victim(block)
+                    frame_key = victim_frame.frame_key
+                    if demand_miss is not None and (
+                        frame_key in pending_map or block in displaced_map
+                    ):
+                        # Resolve the frame's prediction, or mark early
+                        # the prefetch that displaced this block; with
+                        # neither, demand_miss is a no-op.
+                        demand_miss(frame_key, block, now)
+                    if victim_frame.valid:
+                        if inline_evict:
+                            # Inline of _evict.
+                            if victim_frame.dirty:
+                                bus_request(now, l1_block_size)
+                                n_writebacks += 1
+                            swap_stall = 0
+                            if vc_blocks is not None:
+                                if admit(victim_frame, block, now):
+                                    # Inline of victim_cache.insert.
+                                    evicted = victim_frame.block_addr
+                                    if evicted in vc_blocks:
+                                        del vc_blocks[evicted]
+                                    elif len(vc_blocks) >= vc_entries:
+                                        vc_popitem(False)
+                                        n_vc_lru_evictions += 1
+                                    vc_blocks[evicted] = now
+                                    n_vc_fills += 1
+                                    acc = self._victim_penalty_acc + insert_quarter_cycles
+                                    if acc >= 4:
+                                        whole = acc // 4
+                                        acc -= 4 * whole
+                                        swap_stall = add_fixed_stall(whole, "victim-fill")
+                                    self._victim_penalty_acc = acc
+                                else:
+                                    n_vc_rejected += 1
+                            if track_generations:
+                                hc = victim_frame.hit_count
+                                gen_on_evict(
+                                    frame_key,
+                                    victim_frame.block_addr,
+                                    victim_frame.fill_time,
+                                    victim_frame.lt_register if hc > 0 else 0,
+                                    now,
+                                    hc,
+                                )
+                            else:
+                                n_closed += 1
+                            if swap_stall:
+                                # The victim-insert swap stalls the core; the
+                                # fill it caused must not be timestamped
+                                # before that stall.
+                                self.now = now = now + swap_stall
+                        else:
+                            self._evict(victim_frame, frame_key, block, now)
+                            # The victim-insert swap can stall the core; the
+                            # fill it caused must not be timestamped before
+                            # that stall.
+                            now = self.now
+                    if policy is not None:
+                        schedule = policy.on_miss(victim_frame, frame_key, block, pc, now)
+                    else:
+                        schedule = None
+                    # Inline of l1.fill(victim_frame, block, now, store=store)
+                    # — demand fills never use lru_insert.
+                    if victim_frame.valid:
+                        n_evictions += 1
+                        del l1_tags[victim_frame.block_addr]
+                    else:
+                        l1_valid_counts[victim_frame.set_index] += 1
+                    n_misses += 1
+                    victim_frame.reset_generation(block, block >> l1_index_bits, now)
+                    l1_tags[block] = victim_frame
+                    if store:
+                        victim_frame.dirty = True
+                    clock = l1._clock + 1
+                    l1._clock = clock
+                    victim_frame.lru_stamp = clock
+                    if track_generations:
+                        # Inline of generations.on_fill(frame_key, block, now).
+                        open_last[frame_key] = now
+                        open_max[frame_key] = 0
                 if schedule is not None:
-                    self._arm(schedule)
+                    # Arm the frame's prefetch timer: the new prediction
+                    # replaces (supersedes) any unresolved one, and its
+                    # fire event joins the heap.
+                    key = schedule.frame_key
+                    old = pending_map.get(key)
+                    if old is not None:
+                        if old.displaced_block >= 0:
+                            displaced_map.pop(old.displaced_block, None)
+                        n_superseded += 1
+                    fire_at = schedule.fire_at
+                    armed = PendingPrefetch(key, schedule.target_block, now, fire_at)
+                    pending_map[key] = armed
+                    _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
+                    n_scheduled += 1
         finally:
             # Compute gaps are charged in bulk: add_access per row is
             # pure increment work, identical when folded.
@@ -879,14 +1105,22 @@ class MemorySimulator:
             l1.hits += n_touch + n_perfect
             l1.misses += n_misses - n_perfect
             l1.evictions += n_evictions
-            l2.hits += n_l2_hits
+            l2.hits += n_l2_hits + n_l2_pf_hits
+            l2.misses += n_l2_pf_misses
+            l2.evictions += n_l2_pf_evictions
             hierarchy.l2_demand_hits += n_l2_hits
             hierarchy.l2_demand_misses += n_memory
-            hierarchy.memory_accesses += n_memory
+            hierarchy.l2_prefetch_hits += n_l2_pf_hits
+            hierarchy.l2_prefetch_misses += n_l2_pf_misses
+            hierarchy.memory_accesses += n_memory + n_l2_pf_misses
             l1_l2_bus.demand_transfers += n_l2_hits + n_memory
             l1_l2_bus.demand_wait_cycles += l1_l2_wait
+            l1_l2_bus.prefetch_transfers += n_issued
+            l1_l2_bus.prefetch_wait_cycles += l1_l2_pf_wait
             memory_bus.demand_transfers += n_memory
             memory_bus.demand_wait_cycles += memory_wait
+            memory_bus.prefetch_transfers += n_l2_pf_misses
+            memory_bus.prefetch_wait_cycles += memory_pf_wait
             generations.closed_generations += n_closed
             if victim_cache is not None:
                 victim_cache.probes += n_vc_probes
@@ -894,8 +1128,18 @@ class MemorySimulator:
                 victim_cache.fills += n_vc_fills
                 victim_cache.rejected += n_vc_rejected
                 victim_cache.lru_evictions += n_vc_lru_evictions
+            bookkeeper.superseded += n_superseded
+            bookkeeper.cancelled += n_cancelled
+            prefetch_queue.enqueued += n_enqueued
+            prefetch_queue.discarded += n_discarded
+            self.prefetch_mshrs.allocations += n_mshr_allocations
+            self.prefetch_mshrs.merges += n_mshr_merges
             self.writebacks += n_writebacks
             self._accesses += n_accesses
+            self._prefetch_scheduled += n_scheduled
+            self._prefetch_fired += n_fired
+            self._prefetch_issued += n_issued
+            self._prefetch_arrived += n_arrived
             self._prefetch_useful += n_useful
             outcomes = self._outcomes
             outcomes[AccessOutcome.L1_HIT] += n_l1_hits

@@ -98,6 +98,20 @@ class LoadReport:
         """Recovered cells that recorded a structured failure."""
         return len(self.cells) - self.ok_cells
 
+    def telemetries(self) -> Dict[CellKey, Optional[Dict[str, Any]]]:
+        """Per-cell telemetry dicts, ``None`` for cells stored without any.
+
+        Looks in the right place for each cell status — ok cells carry
+        telemetry at the record top level, failed cells inside their
+        failure record — so multiple consumers (``repro report
+        --timing``, the ``repro paper`` phase breakdown) share one
+        extraction path.  Keys follow the store's sorted cell order.
+        """
+        return {
+            key: rec.get("telemetry") or (rec.get("failure") or {}).get("telemetry")
+            for key, rec in sorted(self.cells.items())
+        }
+
     def summary(self) -> str:
         """One-line human digest, shared by the CLI and tests."""
         parts = [
@@ -218,19 +232,9 @@ class RunStore(JsonlJournal):
         return report.manifest, report.cells
 
     def telemetries(self) -> Dict[CellKey, Optional[Dict[str, Any]]]:
-        """Per-cell telemetry dicts, ``None`` for cells stored without any.
-
-        Looks in the right place for each cell status — ok cells carry
-        telemetry at the record top level, failed cells inside their
-        failure record — so multiple consumers (``repro report
-        --timing``, the ``repro paper`` phase breakdown) share one
-        extraction path.  Keys follow the store's sorted cell order.
-        """
-        _, cells = self.load()
-        return {
-            key: rec.get("telemetry") or (rec.get("failure") or {}).get("telemetry")
-            for key, rec in sorted(cells.items())
-        }
+        """Per-cell telemetry of a fresh scan (see
+        :meth:`LoadReport.telemetries`)."""
+        return self.load_report().telemetries()
 
     # -- repair --------------------------------------------------------------
 

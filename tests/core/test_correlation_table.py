@@ -1,5 +1,8 @@
 """Tests for the correlation tables (timekeeping + DBCP)."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -163,3 +166,38 @@ class TestDBCPTable:
         t.reset_stats()
         assert t.lookups == 0
         assert t.lookup(sig) == 9
+
+
+class TestDBCPLazySets:
+    def test_lookup_before_any_update(self):
+        t = DBCPTable()
+        assert t.lookup(DBCPTable.signature(1, 2, 3)) is None
+        assert t.lookups == 1
+        assert t.lookup_hits == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_matches_eager(self, seed):
+        """A random update/lookup stream gets identical answers, stats
+        and final contents from the lazy and the eager table."""
+        rng = random.Random(seed)
+        lazy = DBCPTable(pointer_bits=6, associativity=2)
+        eager = DBCPTable(pointer_bits=6, associativity=2)
+        eager._sets = [OrderedDict() for _ in range(eager.num_sets)]
+        # Few distinct signatures and successors, so entries confirm,
+        # get replaced and get evicted.
+        signatures = [rng.getrandbits(20) for _ in range(300)]
+        for _ in range(5000):
+            sig = rng.choice(signatures)
+            if rng.random() < 0.5:
+                assert lazy.lookup(sig) == eager.lookup(sig)
+            else:
+                nxt = rng.randrange(4)
+                lazy.update(sig, nxt)
+                eager.update(sig, nxt)
+        assert (lazy.lookups, lazy.lookup_hits, lazy.updates) == (
+            eager.lookups, eager.lookup_hits, eager.updates
+        )
+        # Same entries in the same LRU order.
+        assert [list(s.items()) for s in lazy._sets] == [
+            list(s.items()) for s in eager._sets
+        ]

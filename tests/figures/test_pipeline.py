@@ -7,7 +7,14 @@ run is what validates the science).
 
 import pytest
 
-from repro.figures.pipeline import load_suite, plan_cells, run_paper
+from repro.figures.pipeline import (
+    _build_artifact,
+    derive_figures,
+    load_suite,
+    plan_cells,
+    render_report,
+    run_paper,
+)
 from repro.figures.registry import select_specs
 from repro.sim.store import RunStore
 from repro.traces.workloads import SPEC2000
@@ -82,6 +89,38 @@ class TestRoundTrip:
             suite, failed = load_suite(store)
         assert failed == 0
         assert suite["gzip"]["base"].metrics is not None
+
+
+class TestDeriveScansOnce:
+    def test_one_store_scan_per_derive(self, tmp_path, monkeypatch):
+        """The suite and the phase table come from one store scan, and
+        the report matches the one built from two separate scans."""
+        run = run_paper(only=["fig02"], out_dir=str(tmp_path), **SCALE)
+        specs = select_specs(["fig02"])
+        scans = []
+        real_load_report = RunStore.load_report
+
+        def counting_load_report(self):
+            scans.append(self.path)
+            return real_load_report(self)
+
+        with RunStore(run.store_path) as store:
+            suite, failed = load_suite(store)
+            two_scan_text = render_report(
+                specs=specs,
+                artifacts=[_build_artifact(spec, suite) for spec in specs],
+                suite=suite,
+                store=store,
+                length=SCALE["length"],
+                seed=0,
+                warmup=SCALE["length"] // 2,
+                failed_cells=failed,
+            )
+            monkeypatch.setattr(RunStore, "load_report", counting_load_report)
+            _, text, _ = derive_figures(specs, store, length=SCALE["length"])
+        assert len(scans) == 1
+        assert text == two_scan_text
+        assert text == run.report_text
 
 
 class TestResumeAfterKill:

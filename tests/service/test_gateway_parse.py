@@ -9,6 +9,7 @@ import asyncio
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.service import gateway as gateway_module
 from repro.service.gateway import MAX_BODY_BYTES, ROUTES, Gateway
 from repro.service.jobs import Job, normalize_request
 
@@ -102,6 +103,42 @@ class TestContentLength:
         req = request_bytes("POST", "/v1/cells",
                             [("Content-Length", str(len(body)))], body)
         assert status_for(req) == 400
+
+
+def reply_to_stalled_client(partial: bytes) -> bytes:
+    """Send *partial* to a listening gateway, never finish the request,
+    and return everything the server sends before it closes."""
+    async def go():
+        gateway = Gateway(_StubDaemon())
+        host, port = await gateway.start("127.0.0.1", 0)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(partial)
+            await writer.drain()
+            # read() returns only at EOF: the server closed the socket.
+            reply = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return reply
+        finally:
+            await gateway.stop()
+
+    return asyncio.run(go())
+
+
+class TestReadDeadline:
+    def test_half_a_header_block_gets_408_then_close(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "READ_TIMEOUT_S", 0.2)
+        reply = reply_to_stalled_client(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n")
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n"), reply[:80]
+        assert b"Connection: close" in reply
+        assert b"timed out reading request headers" in reply
+
+    def test_short_body_gets_408_then_close(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "READ_TIMEOUT_S", 0.2)
+        reply = reply_to_stalled_client(request_bytes(
+            "POST", "/v1/cells", [("Content-Length", "40")], b'{"work'))
+        assert reply.startswith(b"HTTP/1.1 408 "), reply[:80]
+        assert b"timed out reading request body" in reply
 
 
 _METHODS = st.sampled_from(["GET", "POST", "DELETE", "PUT", "get", "X"])

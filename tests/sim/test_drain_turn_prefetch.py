@@ -1,14 +1,11 @@
 """Regression: drain turns must still give queued prefetches a slot.
 
-The scalar hot loop handles per-access event work with
-``if <events due>: _drain_events() elif <prefetches queued>:
-_issue_prefetches()``.  The elif looks like it starves the prefetch
-queue on drain turns — and an earlier draft did exactly that, draining
-events without a trailing issue pass, so a prefetch parked behind a
-full MSHR file could sit queued indefinitely while unrelated timers
-kept firing.  ``_drain_events`` now ends with ``_issue_prefetches``,
-making the elif a pure de-duplication: every access gives queued
-prefetches exactly one issue opportunity, drain turn or not.
+The scalar hot loop first drains the events due by the access's cycle
+and then runs an issue pass whenever prefetches are queued.  An earlier
+draft drained events without a trailing issue pass, so a prefetch
+parked behind a full MSHR file could sit queued indefinitely while
+unrelated timers kept firing.  Every access now gives queued prefetches
+exactly one issue opportunity, drain turn or not.
 """
 
 from repro.common.config import paper_machine
@@ -33,8 +30,7 @@ def test_drain_turn_issues_prefetches():
     sim.prefetch_queue.push(pending)
 
     # An unrelated, already-cancelled fire event due before the first
-    # access: its only effect is making the loop take the drain branch
-    # instead of the elif.
+    # access: its only effect is making the loop take the drain branch.
     orphan = sim.bookkeeper.scheduled(1, 0x80, 0, 2)
     sim.bookkeeper.cancel(1)
     sim.events.schedule(2, (_FIRE, orphan))
@@ -47,7 +43,7 @@ def test_drain_turn_issues_prefetches():
 
 
 def test_non_drain_turn_issues_prefetches():
-    """The elif branch: no due events, queued prefetch still issues."""
+    """No due events: the queued prefetch still issues."""
     policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
     sim = MemorySimulator(prefetch_policy=policy)
     pending = sim.bookkeeper.scheduled(0, 0x40, 0, 0)

@@ -1,18 +1,31 @@
 """Regression: superseded prefetch arrivals must not drop newer MSHRs.
 
-``_handle_arrival`` used to release the MSHR entry for the arriving
-block *before* checking whether the arrival still owned its pending
-prediction.  When a frame's timer re-arms and the new prediction
-targets the same block, the stale arrival then freed the MSHR entry of
-the *newer* in-flight fetch — so a later demand miss on that block
-could no longer merge with it.  The fix releases only when the resident
-entry's completion time says it belongs to this arrival.
+The prefetch-arrival step used to release the MSHR entry for the
+arriving block *before* checking whether the arrival still owned its
+pending prediction.  When a frame's timer re-arms and the new
+prediction targets the same block, the stale arrival then freed the
+MSHR entry of the *newer* in-flight fetch — so a later demand miss on
+that block could no longer merge with it.  The fix releases only when
+the resident entry's completion time says it belongs to this arrival.
+
+The arrival is handled inside the scalar loop's event drain, so these
+tests queue the stale arrival event and run one access past it.
 """
 
-from repro.sim.simulator import MemorySimulator
+from repro.sim.simulator import _ARRIVE, MemorySimulator
+from repro.traces.trace import TraceBuilder
 
 BLOCK = 0x40
 FRAME = 0
+
+
+def _drain_arrival_at(sim, pending, when):
+    """Queue *pending*'s arrival at cycle *when* and run one unrelated
+    access (a different block) whose clock reaches it."""
+    sim.events.schedule(when, (_ARRIVE, pending))
+    b = TraceBuilder(name="one")
+    b.add(0x9000, gap=when)
+    sim.run(b.build(), engine="scalar")
 
 
 def _superseded_arrival(sim):
@@ -34,9 +47,8 @@ def test_superseded_arrival_keeps_newer_inflight_mshr():
     # The newer fetch of the same block is still in flight (completes
     # well after the stale arrival's timestamp).
     sim.prefetch_mshrs.allocate(BLOCK, 50)
-    sim.now = 10
 
-    sim._handle_arrival(stale, 10)
+    _drain_arrival_at(sim, stale, 10)
 
     assert sim.prefetch_mshrs.lookup(BLOCK) == 50
 
@@ -48,8 +60,7 @@ def test_superseded_arrival_still_retires_its_own_mshr():
     # it is this arrival's own fetch and must be retired to free the
     # MSHR slot.
     sim.prefetch_mshrs.allocate(BLOCK, 8)
-    sim.now = 10
 
-    sim._handle_arrival(stale, 10)
+    _drain_arrival_at(sim, stale, 10)
 
     assert sim.prefetch_mshrs.lookup(BLOCK) is None

@@ -2,8 +2,8 @@
 
 Re-measures the probes those files record — simulator throughput under
 both dispatch engines (batch and forced-scalar), prefetch-path
-throughput, and the scalar victim/prefetch paper configs from
-``BENCH_hotpath.json``, vectorized
+throughput, and the scalar victim, timekeeping-prefetch and DBCP paper
+configs from ``BENCH_hotpath.json``, vectorized
 100k-access trace synthesis per workload from ``BENCH_tracecache.json``,
 sampled-tier and analytical-tier runtimes from ``BENCH_fidelity.json``
 — and fails (exit 1) when any probe regresses past the threshold
@@ -171,6 +171,9 @@ def default_probes() -> List[Probe]:
         Probe("sim.scalar_prefetch", "BENCH_hotpath.json",
               "results.test_perf_scalar_prefetch.after_ms.min",
               _probe_scalar_config({"prefetcher": "timekeeping"})),
+        Probe("sim.scalar_dbcp", "BENCH_hotpath.json",
+              "results.test_perf_scalar_dbcp.after_ms.min",
+              _probe_scalar_config({"prefetcher": "dbcp"})),
     ]
     for name in SYNTH_WORKLOADS:
         probes.append(

@@ -4,11 +4,14 @@ The production :class:`~repro.sim.simulator.MemorySimulator` earns its
 throughput from an O(1) tag store, inlined method bodies in
 ``_consume``, and conditionally-skipped event drains.  Each of those is
 an opportunity to silently change simulation semantics.  This harness
-pins them: it re-implements the L1, the hierarchy fetch path, and the
-main loop in the *straightforward* style — linear tag scans, one method
-call per event, an unconditional event drain per access — and asserts
-that both simulators produce bitwise-identical results over the
-workload suite.
+pins them: it re-implements the L1, the hierarchy fetch path, the
+prefetch engine and the main loop in the *straightforward* style —
+linear tag scans, one method call per event, an unconditional event
+drain per access — and asserts that both simulators produce
+bitwise-identical results over the workload suite.  The production
+loop inlines the whole prefetch engine, so the method-per-step engine
+(``_arm``, ``_handle_fire``, ``_issue_prefetches``,
+``_handle_arrival``, ``_drain_events``) lives only here.
 
 The reference deliberately shares the leaf mechanism code (frames,
 MSHRs, buses, policies, bookkeeping): the point is to diff the
@@ -37,37 +40,65 @@ checks via :func:`iter_mismatches` (tests/integration/test_equivalence.py).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import FetchResult, MemoryHierarchy
 from repro.cache.replacement import LRUPolicy
-from repro.common.config import MachineConfig
-from repro.common.types import AccessOutcome, AccessType, MissClass
+from repro.common.config import CacheConfig, MachineConfig, PrefetchConfig, paper_machine
+from repro.common.types import KB, AccessOutcome, AccessType, MissClass
 from repro.core.decay import DecayPolicy
-from repro.sim.simulator import _FIRE, MemorySimulator, make_prefetch_policy
+from repro.sim.simulator import _ARRIVE, _FIRE, MemorySimulator, make_prefetch_policy
 from repro.traces.workloads import build_workload
+
+#: The paper machine with a 32KB L2, a 4-entry prefetch queue and 2
+#: prefetch MSHRs.  At harness trace lengths the paper's 1MB L2 never
+#: evicts under prefetch traffic and its 128-entry queue rarely
+#: overflows, so this machine is what drives the LRU-position L2 fill,
+#: queue discards and the MSHR-full stop of the issue pass.
+TIGHT_MACHINE = dataclasses.replace(
+    paper_machine(),
+    l2=CacheConfig(32 * KB, 4, 64, hit_latency=12, name="L2"),
+    prefetch=PrefetchConfig(mshrs=2, queue_entries=4),
+)
 
 #: Named machine configurations the harness sweeps.  Keep in sync with
 #: the feature axes of the hot path: victim cache + admission filter,
 #: prefetch engine (events/MSHRs/queue), and decay each take different
 #: branches through ``_consume``.
-#: The ``victim_unfiltered``/``victim_collins``/``prefetch_dbcp`` cells
-#: run without a metrics bank, as the paper campaign does, so they take
-#: the generation-bookkeeping-off branch the consumer-less configs use.
+#: The ``victim_unfiltered``/``victim_collins``/``prefetch_bare``/
+#: ``prefetch_dbcp``/``prefetch_tight`` cells and the prefetch warm-up
+#: cells run without a metrics bank, as the paper campaign does, so they
+#: take the generation-bookkeeping-off branch the consumer-less configs
+#: use.
 CONFIGS: Dict[str, Dict[str, Any]] = {
     "default": {},
     "victim": {"victim_filter": "timekeeping"},
     "victim_unfiltered": {"victim_filter": "unfiltered", "collect_metrics": False},
     "victim_collins": {"victim_filter": "collins", "collect_metrics": False},
     "prefetch": {"prefetcher": "timekeeping"},
+    "prefetch_bare": {"prefetcher": "timekeeping", "collect_metrics": False},
     "prefetch_dbcp": {"prefetcher": "dbcp", "collect_metrics": False},
+    "prefetch_tight": {
+        "prefetcher": "timekeeping", "collect_metrics": False, "machine": TIGHT_MACHINE,
+    },
+    # The stride prefetcher sees every access (wants_all_accesses).
+    "prefetch_stride": {"prefetcher": "stride"},
     "decay": {"decay_interval": 8192},
     # ``warmup_frac`` is harness-level, not a simulator kwarg: the cell
     # runs with warmup = int(length * frac) extra accesses, exercising
     # the batch engine's deferred-state chaining across run() calls.
     "warmup": {"warmup_frac": 0.33},
+    # Prefetch events, queued requests and MSHRs are still pending when
+    # the statistics reset between the warm-up and measured passes.
+    "prefetch_warmup": {
+        "prefetcher": "timekeeping", "collect_metrics": False, "warmup_frac": 0.33,
+    },
+    "prefetch_dbcp_warmup": {
+        "prefetcher": "dbcp", "collect_metrics": False, "warmup_frac": 0.33,
+    },
     "perfect": {"perfect_non_cold": True},
     "perfect_warmup": {"perfect_non_cold": True, "warmup_frac": 0.33},
 }
@@ -86,7 +117,9 @@ RUNS = (
 #: Label pairs diffed within each cell.
 PAIRS = (("batch", "reference"), ("scalar", "reference"), ("batch", "scalar"))
 
-DEFAULT_WORKLOADS = ("gcc", "mcf", "swim", "art")
+#: At harness trace lengths the DBCP prefetcher issues no prefetch on
+#: the first four workloads; eon is one on which it does.
+DEFAULT_WORKLOADS = ("gcc", "mcf", "swim", "art", "eon")
 
 
 class ReferenceCache(SetAssociativeCache):
@@ -212,6 +245,81 @@ class ReferenceSimulator(MemorySimulator):
         super().__init__(*args, **kwargs)
         self.l1 = ReferenceCache(self.machine.l1d)
         self.hierarchy = ReferenceHierarchy(self.machine)
+
+    # -- prefetch engine: one method per step, through the public
+    # -- EventQueue/PrefetchBookkeeper/MSHRFile/PrefetchQueue protocol.
+
+    def _arm(self, schedule) -> None:
+        pending = self.bookkeeper.scheduled(
+            schedule.frame_key, schedule.target_block, self.now, schedule.fire_at
+        )
+        self.events.schedule(schedule.fire_at, (_FIRE, pending))
+        self._prefetch_scheduled += 1
+
+    def _handle_fire(self, pending) -> None:
+        if self.bookkeeper.pending_for(pending.frame_key) is not pending:
+            return  # superseded or resolved
+        if self.l1.probe(pending.target_block) is not None:
+            self.bookkeeper.cancel(pending.frame_key)
+            return
+        self.bookkeeper.fired(pending.frame_key)
+        self._prefetch_fired += 1
+        displaced = self.prefetch_queue.push(pending)
+        if displaced is not None:
+            self.bookkeeper.discarded(displaced)
+
+    def _issue_prefetches(self) -> None:
+        self.prefetch_mshrs.expire(self.now)
+        while len(self.prefetch_queue):
+            pending = self.prefetch_queue.peek()
+            if self.bookkeeper.pending_for(pending.frame_key) is not pending:
+                self.prefetch_queue.pop()  # stale entry
+                continue
+            if self.l1.probe(pending.target_block) is not None:
+                self.prefetch_queue.pop()
+                self.bookkeeper.cancel(pending.frame_key)
+                continue
+            if len(self.prefetch_mshrs) >= self.prefetch_mshrs.entries:
+                break
+            self.prefetch_queue.pop()
+            fetch = self.hierarchy.fetch(pending.target_block, self.now, prefetch=True)
+            self.prefetch_mshrs.allocate(pending.target_block, fetch.completes_at)
+            self.bookkeeper.issued(pending.frame_key, self.now)
+            self.events.schedule(fetch.completes_at, (_ARRIVE, pending))
+            self._prefetch_issued += 1
+
+    def _handle_arrival(self, pending, when: int) -> None:
+        if self.bookkeeper.pending_for(pending.frame_key) is not pending:
+            # Resolved or superseded while in flight: retire the MSHR
+            # entry only when it is this arrival's own fetch (a newer
+            # in-flight fetch of the same block completes after *when*).
+            completes = self.prefetch_mshrs.lookup(pending.target_block)
+            if completes is not None and completes <= when:
+                self.prefetch_mshrs.release(pending.target_block)
+            return
+        self.prefetch_mshrs.release(pending.target_block)
+        target = pending.target_block
+        if self.l1.probe(target) is not None:
+            self.bookkeeper.cancel(pending.frame_key)
+            return
+        frame = self.l1.choose_victim(target)
+        frame_key = frame.set_index * self._assoc + frame.way
+        displaced = -1
+        if frame.valid:
+            displaced = frame.block_addr
+            before = self.now
+            self._evict(frame, frame_key, target, when)
+            # The victim-insert swap can stall the core; the fill it
+            # caused must not be timestamped before that stall.
+            when += self.now - before
+        if self.policy is not None:
+            schedule = self.policy.on_prefetch_fill(frame, frame_key, target, when)
+            if schedule is not None:
+                self._arm(schedule)
+        self.l1.fill(frame, target, when, prefetched=True)
+        self.generations.on_fill(frame_key, target, when)
+        self.bookkeeper.arrived(pending.frame_key, when, displaced)
+        self._prefetch_arrived += 1
 
     def _drain_events(self) -> None:
         """Fire/arrive every due event, then issue queued prefetches."""
@@ -401,15 +509,52 @@ def metrics_digest(sim: MemorySimulator) -> Optional[Dict[str, Any]]:
     }
 
 
+def mechanism_digest(sim: MemorySimulator) -> Dict[str, Any]:
+    """Mechanism-level counters ``to_dict`` leaves out.
+
+    The scalar loop folds the L2, bus, MSHR and prefetch-queue tallies
+    in after the loop instead of bumping them per event; compare them
+    explicitly so a fold that drifts shows up here.  Each L2 set's
+    blocks in LRU order pin the prefetch fill's LRU-position placement,
+    which the counters alone do not see (the engines number LRU stamps
+    differently, so only the order is compared).
+    """
+    h = sim.hierarchy
+    h.l2.probe(0)  # thaws state a batch-engine run left deferred
+    l2_lru = [
+        [f.block_addr for f in sorted(frames, key=lambda f: f.lru_stamp) if f.valid]
+        for frames in h.l2._sets
+        if frames is not None and any(f.valid for f in frames)
+    ]
+
+    def bus(b):
+        return [b.demand_transfers, b.prefetch_transfers,
+                b.demand_wait_cycles, b.prefetch_wait_cycles, b.free_at]
+
+    return {
+        "l2": [h.l2.hits, h.l2.misses, h.l2.evictions, h.l2_prefetch_hits,
+               h.l2_prefetch_misses, h.memory_accesses],
+        "l1_l2_bus": bus(h.l1_l2_bus),
+        "memory_bus": bus(h.memory_bus),
+        "l2_lru": l2_lru,
+        "mshr": [sim.prefetch_mshrs.allocations, sim.prefetch_mshrs.merges],
+        "queue": [sim.prefetch_queue.enqueued, sim.prefetch_queue.discarded,
+                  len(sim.prefetch_queue)],
+        "events": len(sim.events),
+        "now": sim.now,
+    }
+
+
 def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
     """Run every simulator variant on one (workload, config) cell.
 
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
     — production/batch, production/scalar, and the reference — where
     each comparable dict is the result ``to_dict`` plus the metrics
-    digest and the tracker's closed-generation count (which must stay
-    exact even when no consumer reads the generations).  A ``warmup_frac`` entry in the config adds that fraction
-    of *length* as extra leading accesses consumed as warmup.
+    digest, the mechanism digest and the tracker's closed-generation
+    count (which must stay exact even when no consumer reads the
+    generations).  A ``warmup_frac`` entry in the config adds that
+    fraction of *length* as extra leading accesses consumed as warmup.
     """
     config = dict(CONFIGS[config_name])
     warmup = int(length * config.pop("warmup_frac", 0.0))
@@ -426,6 +571,7 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
         out[label] = {
             "result": result.to_dict(),
             "metrics": metrics_digest(sim),
+            "mechanism": mechanism_digest(sim),
             "closed_generations": sim.generations.closed_generations,
         }
     return out
