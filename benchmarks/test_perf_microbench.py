@@ -7,7 +7,10 @@ correlation-table traffic).
 
 from repro.classify.three_c import ThreeCClassifier
 from repro.core.prefetch.correlation import CorrelationTable
+from repro.figures.pipeline import SMOKE_LENGTH, derive_figures, run_paper
+from repro.figures.registry import select_specs
 from repro.sim.simulator import MemorySimulator, make_simulator
+from repro.sim.store import RunStore
 from repro.traces.workloads import build_workload
 
 
@@ -80,6 +83,22 @@ def test_perf_scalar_dbcp(benchmark):
     # DBCP issues no prefetches on gcc within 20k accesses: the probe
     # times its table and policy hooks on the scalar loop.
     assert result.prefetch.predictor_lookups > 0
+
+
+def test_perf_derive_figures(benchmark, tmp_path):
+    """Every figure derived from a smoke-scale paper store (22 workloads
+    x 7 configs): store scan, metric-bank decoding, threshold sweeps and
+    rendering — the derive half of ``repro paper``."""
+    run = run_paper(out_dir=str(tmp_path), smoke=True, trace_cache=False,
+                    write_report=False, obs_history=False)
+    specs = select_specs(None)
+
+    def derive():
+        with RunStore(run.store_path) as store:
+            return derive_figures(specs, store, length=SMOKE_LENGTH)[1]
+
+    text = benchmark.pedantic(derive, rounds=3, iterations=1)
+    assert text == run.report_text
 
 
 def test_perf_classifier(benchmark):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -219,46 +219,39 @@ def ratio_cdf(ratios: Sequence[float], breakpoints: Sequence[float]) -> List[flo
     """Cumulative fraction of *ratios* <= each breakpoint (paper Fig 15 bottom).
 
     Breakpoints must be increasing; values are compared inclusively.
+    *ratios* is any array-like; one sort serves every breakpoint.
     """
     if list(breakpoints) != sorted(breakpoints):
         raise ValueError("breakpoints must be sorted ascending")
-    if not ratios:
-        return [0.0] * len(breakpoints)
-    ordered = sorted(ratios)
+    ordered = np.sort(np.asarray(ratios, dtype=np.float64))
     n = len(ordered)
-    out: List[float] = []
-    i = 0
-    for bp in breakpoints:
-        while i < n and ordered[i] <= bp:
-            i += 1
-        out.append(i / n)
-    return out
+    if not n:
+        return [0.0] * len(breakpoints)
+    below = np.searchsorted(ordered, np.asarray(breakpoints, dtype=np.float64),
+                            side="right")
+    return [i / n for i in below.tolist()]
 
 
 def abs_diff_histogram(
-    pairs: Iterable[tuple],
+    pairs: Any,
     boundaries: Optional[Sequence[int]] = None,
 ) -> List[float]:
     """Fraction of consecutive-pair absolute differences per bucket.
 
     Used for paper Figure 15 (top): the distribution of
-    ``|current - previous|`` over power-of-two buckets.  *boundaries*
-    are the inclusive upper edges of each bucket; a final unbounded
-    bucket is appended.
+    ``|current - previous|`` over power-of-two buckets.  *pairs* is a
+    sequence of ``(previous, current)`` pairs or an ``(n, 2)`` array;
+    *boundaries* are the inclusive upper edges of each bucket; a final
+    unbounded bucket is appended.
     """
     if boundaries is None:
         boundaries = [0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
-    counts = [0] * (len(boundaries) + 1)
-    total = 0
-    for prev, cur in pairs:
-        diff = abs(cur - prev)
-        total += 1
-        for i, edge in enumerate(boundaries):
-            if diff <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+    arr = np.asarray(pairs).reshape(-1, 2)
+    total = len(arr)
     if total == 0:
-        return [0.0] * len(counts)
-    return [c / total for c in counts]
+        return [0.0] * (len(boundaries) + 1)
+    diffs = np.abs(arr[:, 1] - arr[:, 0])
+    # First edge >= diff, or len(boundaries) (the unbounded bucket).
+    bucket = np.searchsorted(np.asarray(boundaries), diffs, side="left")
+    counts = np.bincount(bucket, minlength=len(boundaries) + 1)
+    return [c / total for c in counts.tolist()]

@@ -14,18 +14,25 @@ of the block that misses:
   time was zero (a single "re-reference bit" per line; high accuracy,
   ~30% coverage, no knob).
 
-Offline evaluation helpers sweep thresholds over the
-:class:`~repro.core.metrics.MissCorrelation` records a simulation
-collected, producing the accuracy/coverage curves of Figures 8 and 10
-and the per-benchmark bars of Figure 11.
+Offline evaluation helpers sweep thresholds over the miss correlations
+a simulation collected — :class:`~repro.core.metrics.CorrelationColumns`
+or a sequence of :class:`~repro.core.metrics.MissCorrelation` records —
+producing the accuracy/coverage curves of Figures 8 and 10 and the
+per-benchmark bars of Figure 11.  They count with numpy: a threshold
+sweep sorts each class's metric values once and reads every
+threshold's tallies off one ``searchsorted``, and the tallies are the
+same integers :meth:`BinaryPredictor.evaluate` would count one sample
+at a time, so every accuracy and coverage is the same float.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
+
+import numpy as np
 
 from ...common.types import MissClass
-from ..metrics import MissCorrelation
+from ..metrics import CorrelationColumns
 from .base import BinaryPredictor, PredictionStats, ThresholdPredictor
 
 
@@ -63,59 +70,87 @@ class ZeroLiveTimeConflictPredictor(BinaryPredictor):
         return value == 0
 
 
-def _samples(
-    correlations: Iterable[MissCorrelation],
+#: Metric name -> the correlation column it reads.
+_METRIC_COLUMN = {
+    "reload": "reload_interval",
+    "dead": "last_dead_time",
+    "live": "last_live_time",
+}
+
+
+def _split(correlations: Any, metric: str) -> Tuple[np.ndarray, np.ndarray]:
+    """*metric*'s values for conflict and for non-conflict misses.
+
+    Cold misses carry no previous generation and never appear in the
+    correlations.
+    """
+    columns = CorrelationColumns.coerce(correlations)
+    values = getattr(columns, _METRIC_COLUMN[metric])
+    is_conflict = columns.miss_class == int(MissClass.CONFLICT)
+    return values[is_conflict], values[~is_conflict]
+
+
+def threshold_stats(
+    correlations: Any,
     metric: str,
-) -> List[Tuple[int, bool]]:
-    """Extract (metric value, is_conflict) pairs; cold misses carry no
-    previous generation and never appear in *correlations*."""
-    getter = {
-        "reload": lambda c: c.reload_interval,
-        "dead": lambda c: c.last_dead_time,
-        "live": lambda c: c.last_live_time,
-    }[metric]
-    return [(getter(c), c.miss_class == MissClass.CONFLICT) for c in correlations]
+    thresholds: Sequence[int],
+) -> List[PredictionStats]:
+    """Tallies of "conflict iff *metric* < threshold" at every threshold.
+
+    Bitwise-equal to ``ThresholdPredictor(t).evaluate(samples)`` per
+    threshold: a value below *t* is a positive prediction, so each
+    class's count below *t* is one ``searchsorted`` into its sorted
+    values.
+    """
+    if any(t < 0 for t in thresholds):
+        raise ValueError(f"thresholds must be non-negative, got {list(thresholds)}")
+    conflicts, others = _split(correlations, metric)
+    conflicts = np.sort(conflicts)
+    others = np.sort(others)
+    cuts = np.asarray(thresholds)
+    tp = np.searchsorted(conflicts, cuts, side="left").tolist()
+    fp = np.searchsorted(others, cuts, side="left").tolist()
+    n_conflict = len(conflicts)
+    n_other = len(others)
+    return [PredictionStats(t, f, n_conflict - t, n_other - f) for t, f in zip(tp, fp)]
 
 
 def evaluate_reload_predictor(
-    correlations: Iterable[MissCorrelation],
+    correlations: Any,
     threshold: int = ReloadIntervalConflictPredictor.PAPER_THRESHOLD,
 ) -> PredictionStats:
     """Accuracy/coverage of the reload-interval predictor at one threshold."""
-    return ReloadIntervalConflictPredictor(threshold).evaluate(_samples(correlations, "reload"))
+    return threshold_stats(correlations, "reload", [threshold])[0]
 
 
 def evaluate_dead_time_predictor(
-    correlations: Iterable[MissCorrelation],
+    correlations: Any,
     threshold: int = DeadTimeConflictPredictor.PAPER_THRESHOLD,
 ) -> PredictionStats:
     """Accuracy/coverage of the dead-time predictor at one threshold."""
-    return DeadTimeConflictPredictor(threshold).evaluate(_samples(correlations, "dead"))
+    return threshold_stats(correlations, "dead", [threshold])[0]
 
 
-def evaluate_zero_live_predictor(
-    correlations: Iterable[MissCorrelation],
-) -> PredictionStats:
+def evaluate_zero_live_predictor(correlations: Any) -> PredictionStats:
     """Accuracy/coverage of the zero-live-time predictor (Figure 11)."""
-    return ZeroLiveTimeConflictPredictor().evaluate(_samples(correlations, "live"))
+    conflicts, others = _split(correlations, "live")
+    tp = int(np.count_nonzero(conflicts == 0))
+    fp = int(np.count_nonzero(others == 0))
+    return PredictionStats(tp, fp, len(conflicts) - tp, len(others) - fp)
 
 
 def accuracy_coverage_curve(
-    correlations: Sequence[MissCorrelation],
+    correlations: Any,
     metric: str,
     thresholds: Sequence[int],
 ) -> List[Tuple[int, float, float]]:
     """Sweep thresholds; returns (threshold, accuracy, coverage) rows.
 
     *metric* is ``"reload"`` (Figure 8, x in cycles) or ``"dead"``
-    (Figure 10).  One pass per threshold over pre-extracted samples.
+    (Figure 10).  Every threshold comes from one sort per class.
     """
-    samples = _samples(correlations, metric)
-    rows: List[Tuple[int, float, float]] = []
-    for threshold in thresholds:
-        stats = ThresholdPredictor(threshold).evaluate(samples)
-        rows.append((threshold, stats.accuracy, stats.coverage))
-    return rows
+    stats = threshold_stats(correlations, metric, thresholds)
+    return [(t, s.accuracy, s.coverage) for t, s in zip(thresholds, stats)]
 
 
 #: Figure 8's x-axis: 1K..512K cycles, doubling.

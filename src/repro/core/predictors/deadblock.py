@@ -14,22 +14,28 @@ this generation:
   after the fill (the paper picks scale=2 from the ratio CDF of
   Figure 15: ~80% of live times are below twice the previous one).
 
-Offline evaluation runs over the closed
-:class:`~repro.core.generations.GenerationRecord` stream.  The ground
+Offline evaluation runs over the closed generations —
+:class:`~repro.core.metrics.GenerationColumns` or a sequence of
+:class:`~repro.core.generations.GenerationRecord` objects.  The ground
 truth per generation: a *decay* prediction fires at the first idle
 period >= threshold, and is correct iff that period is the dead time
 (no access interval within the live time was that large).  A
 *live-time* prediction exists only when the block survives past the
 scaled prediction point and has a previous live time; it is correct
-iff the real live time ended by then.
+iff the real live time ended by then.  ``prediction_for`` states that
+rule for one record; ``evaluate`` and the curves count it over whole
+columns with numpy, to the same integer tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..generations import GenerationRecord
+from ..metrics import NO_PREV_LIVE, GenerationColumns
 
 
 @dataclass
@@ -85,12 +91,9 @@ class DecayDeadBlockPredictor:
         # threshold happens before the dead time does.
         return not fired_in_live
 
-    def evaluate(self, records: Iterable[GenerationRecord]) -> DeadBlockStats:
+    def evaluate(self, generations: Any) -> DeadBlockStats:
         """Tally accuracy/coverage over closed generations."""
-        stats = DeadBlockStats()
-        for record in records:
-            stats.record(self.prediction_for(record))
-        return stats
+        return decay_stats(generations, [self.threshold])[0]
 
 
 class LiveTimeDeadBlockPredictor:
@@ -125,34 +128,69 @@ class LiveTimeDeadBlockPredictor:
             return None  # evicted before the prediction could fire
         return record.live_time <= point
 
-    def evaluate(self, records: Iterable[GenerationRecord]) -> DeadBlockStats:
-        """Tally accuracy/coverage over closed generations."""
-        stats = DeadBlockStats()
-        for record in records:
-            stats.record(self.prediction_for(record))
-        return stats
+    def evaluate(self, generations: Any) -> DeadBlockStats:
+        """Tally accuracy/coverage over closed generations.
+
+        Bitwise-equal to :meth:`prediction_for` per record: the
+        prediction point ``max(1, int(scale * prev))`` is the same
+        binary64 product truncated toward zero.
+        """
+        columns = GenerationColumns.coerce(generations)
+        prev = columns.prev_live_time
+        live = columns.live_time
+        point = np.maximum(1, (self.scale * prev).astype(np.int64))
+        covered = (prev != NO_PREV_LIVE) & (live + columns.dead_time >= point)
+        correct = covered & (live <= point)
+        return DeadBlockStats(
+            columns.size, int(np.count_nonzero(covered)), int(np.count_nonzero(correct))
+        )
+
+
+def decay_stats(generations: Any, thresholds: Sequence[int]) -> List[DeadBlockStats]:
+    """Decay-predictor tallies at every threshold, from one sort per column.
+
+    A prediction fires when ``max(max_access_interval, dead_time)``
+    reaches the threshold, and is right when the dead time reaches it
+    but the largest access interval does not — that is, the dead-time
+    count minus the count of ``min(max_access_interval, dead_time)``
+    reaching it.
+    """
+    if any(t <= 0 for t in thresholds):
+        raise ValueError(f"decay thresholds must be positive, got {list(thresholds)}")
+    columns = GenerationColumns.coerce(generations)
+    max_iv = columns.max_access_interval
+    dead = columns.dead_time
+    total = columns.size
+    cuts = np.asarray(thresholds)
+
+    def reaching(values: np.ndarray) -> List[int]:
+        return (total - np.searchsorted(np.sort(values), cuts, side="left")).tolist()
+
+    made = reaching(np.maximum(max_iv, dead))
+    dead_reach = reaching(dead)
+    both_reach = reaching(np.minimum(max_iv, dead))
+    return [DeadBlockStats(total, m, d - b)
+            for m, d, b in zip(made, dead_reach, both_reach)]
 
 
 def decay_curve(
-    records: Sequence[GenerationRecord],
+    generations: Any,
     thresholds: Sequence[int],
 ) -> List[Tuple[int, float, float]]:
     """(threshold, accuracy, coverage) rows for Figure 14."""
-    rows: List[Tuple[int, float, float]] = []
-    for threshold in thresholds:
-        stats = DecayDeadBlockPredictor(threshold).evaluate(records)
-        rows.append((threshold, stats.accuracy, stats.coverage))
-    return rows
+    stats = decay_stats(generations, thresholds)
+    return [(t, s.accuracy, s.coverage) for t, s in zip(thresholds, stats)]
 
 
 def livetime_scale_curve(
-    records: Sequence[GenerationRecord],
+    generations: Any,
     scales: Sequence[float],
 ) -> List[Tuple[float, float, float]]:
     """(scale, accuracy, coverage) rows — the x2 heuristic ablation."""
+    columns = GenerationColumns.coerce(generations)
     rows: List[Tuple[float, float, float]] = []
     for scale in scales:
-        stats = LiveTimeDeadBlockPredictor(scale).evaluate(records)
+        stats = LiveTimeDeadBlockPredictor(scale).evaluate(columns)
         rows.append((scale, stats.accuracy, stats.coverage))
     return rows
 

@@ -48,24 +48,17 @@ class PendingPrefetch:
     __slots__ = (
         "frame_key",
         "target_block",
-        "armed_at",
         "fire_at",
         "state",
-        "issued_at",
-        "arrived_at",
         "displaced_block",
         "early",
     )
 
-    def __init__(self, frame_key: int, target_block: int, armed_at: int,
-                 fire_at: int) -> None:
+    def __init__(self, frame_key: int, target_block: int, fire_at: int) -> None:
         self.frame_key = frame_key
         self.target_block = target_block
-        self.armed_at = armed_at
         self.fire_at = fire_at
         self.state = _State.WAITING
-        self.issued_at = -1
-        self.arrived_at = -1
         self.displaced_block = -1
         #: Set when the displaced block missed again before resolution —
         #: the prefetch displaced a live block.
@@ -134,13 +127,13 @@ class PrefetchBookkeeper:
 
     # -- engine events --------------------------------------------------------
 
-    def scheduled(self, frame_key: int, target_block: int, armed_at: int,
+    def scheduled(self, frame_key: int, target_block: int,
                   fire_at: int) -> PendingPrefetch:
         """A frame's timer was (re)armed; replaces any unresolved pending."""
         if frame_key in self._pending:
             self._drop(self._pending[frame_key])
             self.superseded += 1
-        pending = PendingPrefetch(frame_key, target_block, armed_at, fire_at)
+        pending = PendingPrefetch(frame_key, target_block, fire_at)
         self._pending[frame_key] = pending
         return pending
 
@@ -160,7 +153,6 @@ class PrefetchBookkeeper:
         pending = self._pending.get(frame_key)
         if pending is not None and pending.state == _State.QUEUED:
             pending.state = _State.ISSUED
-            pending.issued_at = now
 
     def cancel(self, frame_key: int) -> None:
         """Target became resident by other means; drop silently."""
@@ -175,7 +167,6 @@ class PrefetchBookkeeper:
         if pending is None or pending.state not in (_State.ISSUED, _State.QUEUED):
             return
         pending.state = _State.ARRIVED
-        pending.arrived_at = now
         pending.displaced_block = displaced_block
         if displaced_block >= 0:
             self._displaced[displaced_block] = frame_key

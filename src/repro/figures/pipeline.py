@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..common.config import MachineConfig, config_digest, paper_machine
+from ..common.jsonl import gc_suspended
 from ..obs.history import append_best_effort, paper_run_record, resolve_history
 from ..obs.metrics import PHASES, aggregate_phases
 from ..sim.results import SimulationResult
@@ -106,11 +107,12 @@ def load_suite(
     scan = store if isinstance(store, LoadReport) else store.load_report()
     ok: Dict[Tuple[str, str], SimulationResult] = {}
     failed = 0
-    for (workload, config), record in scan.cells.items():
-        if record.get("status") == "ok":
-            ok[(workload, config)] = SimulationResult.from_dict(record["result"])
-        else:
-            failed += 1
+    with gc_suspended():  # from_dict builds columns, never cycles
+        for (workload, config), record in scan.cells.items():
+            if record.get("status") == "ok":
+                ok[(workload, config)] = SimulationResult.from_dict(record["result"])
+            else:
+                failed += 1
     workload_order = [w for w in SPEC2000 if any(k[0] == w for k in ok)]
     config_order = [c for c in CONFIGS if any(k[1] == c for k in ok)]
     suite: Dict[str, Dict[str, SimulationResult]] = {}

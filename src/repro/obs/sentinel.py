@@ -9,7 +9,13 @@ statistics — per-metric median and MAD — and flags a metric only when
 it is worse than the median by **both** a relative tolerance and a
 MAD-scaled deviation.  The double gate keeps the sentinel quiet on
 noisy-but-stable metrics (wide MAD absorbs jitter) while still firing
-on a clean 30% throughput drop against a tight baseline.
+on a clean 30% throughput drop against a tight baseline.  Timing
+metrics (throughput, wall time, phase and probe timings) are judged
+only against at least :data:`MIN_TIMING_BASELINE` baseline runs: with
+fewer, the MAD says nothing about the host's run-to-run spread (one
+run's MAD is 0), and two identical small sweeps can differ by a third
+on a shared host.  Counts (failed cells, retries) have no such jitter
+and are judged against a single baseline run.
 
 Render surfaces:
 
@@ -26,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_WINDOW", "DEFAULT_TOLERANCE_PCT", "DEFAULT_MAD_K",
-    "DEFAULT_MIN_ABS",
+    "DEFAULT_MIN_ABS", "MIN_TIMING_BASELINE",
     "metric_direction", "Finding", "SentinelReport", "check_records",
     "check_history", "sparkline", "render_dashboard", "to_prometheus",
     "validate_prometheus",
@@ -55,6 +61,20 @@ _ABS_FLOORS: Tuple[Tuple[str, float], ...] = (
     ("phase_", 0.05),
     ("probe_ms_", 0.5),
 )
+
+
+#: Fewest baseline runs a timing metric is judged against; below it
+#: the metric's row reads ``insufficient baseline``.
+MIN_TIMING_BASELINE = 3
+
+#: Timing metrics: exact names and prefix families.
+_TIMING = frozenset({"throughput_aps", "wall_time_s"})
+_TIMING_PREFIXES = ("phase_", "probe_ms_")
+
+
+def _is_timing(metric: str) -> bool:
+    """Whether *metric* is a wall-clock measurement (host-noise bound)."""
+    return metric in _TIMING or metric.startswith(_TIMING_PREFIXES)
 
 
 def _noise_floor(metric: str, min_abs: float) -> float:
@@ -168,7 +188,9 @@ def check_records(
 
     A metric is flagged only when it clears all three gates: the
     relative shift exceeds *tolerance_pct*, the absolute shift exceeds
-    both ``mad_k`` baseline MADs and *min_abs*.
+    both ``mad_k`` baseline MADs and *min_abs*.  A timing metric with
+    fewer than :data:`MIN_TIMING_BASELINE` baseline values is not
+    judged: its row reads ``insufficient baseline`` and a note says why.
     """
     newest = records[-1]
     report = SentinelReport(
@@ -199,12 +221,19 @@ def check_records(
             # Baseline median of zero (e.g. cells_failed): any
             # worsening is an infinite relative regression.
             delta_pct = float("inf") if worse > 0 else 0.0
-        flagged = (delta_pct > tolerance_pct and worse > mad_k * mad
+        judged = not _is_timing(metric) or len(history) >= MIN_TIMING_BASELINE
+        flagged = (judged and delta_pct > tolerance_pct and worse > mad_k * mad
                    and worse > _noise_floor(metric, min_abs))
+        if not judged:
+            report.notes.append(
+                f"{metric}: not judged, {len(history)} baseline run(s); timing "
+                f"metrics need {MIN_TIMING_BASELINE} to measure the host's "
+                f"run-to-run spread")
         report.rows.append({
             "metric": metric, "value": value, "median": med, "mad": mad,
             "delta_pct": delta_pct, "direction": direction,
-            "status": "REGRESSED" if flagged else "ok",
+            "status": ("REGRESSED" if flagged else "ok" if judged
+                       else "insufficient baseline"),
         })
         if flagged:
             report.findings.append(Finding(

@@ -38,13 +38,14 @@ someone actually looks (`SetAssociativeCache.defer_contents`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cache.block import Frame
 from ..cache.replacement import LRUPolicy
 from ..common.types import AccessOutcome, AccessType, MissClass
+from ..core.metrics import NO_PREV_LIVE
 
 #: MissClass int values, hoisted for the hot classification pass.
 _COLD = int(MissClass.COLD)
@@ -676,10 +677,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         e_start_l = e_start.tolist()
         e_live_l = e_live.tolist()
         e_dead_l = e_dead.tolist()
-        corr_cls: List[int] = []
-        corr_reload: List[int] = []
-        corr_dead: List[int] = []
-        corr_live: List[int] = []
+        corr: Optional[Tuple[np.ndarray, ...]] = None
         do_corr = metrics is not None and classifying
         prev_live_list: List[Optional[int]]
         if n_evictions:
@@ -700,11 +698,20 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             have_prev = np.zeros(n_evictions, dtype=bool)
             have_prev[rep_idx] = True
             prev_live_list = prev_live_arr.tolist()
-            for j in np.flatnonzero(~have_prev).tolist():
+            missing = np.flatnonzero(~have_prev).tolist()
+            for j in missing:
                 lg = last_gen_get(e_block_l[j])
                 prev_live_list[j] = lg.live_time if lg is not None else None
+            if metrics is not None and missing:
+                # The metric bank's column: NO_PREV_LIVE where the
+                # tracker's record list has None.
+                prev_live_arr[missing] = [
+                    NO_PREV_LIVE if prev_live_list[j] is None else prev_live_list[j]
+                    for j in missing
+                ]
         else:
             prev_live_list = []
+            prev_live_arr = np.zeros(0, dtype=np.int64)
         if do_corr:
             noncold = np.flatnonzero(cls != _COLD)
             if noncold.size:
@@ -747,15 +754,14 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
                             r_reload[i] = qn_l[i] - lg.start
                             r_dead[i] = lg.dead_time
                             r_live[i] = lg.live_time
-                corr_cls = cls[noncold][keep].tolist()
-                corr_reload = r_reload[keep].tolist()
-                corr_dead = r_dead[keep].tolist()
-                corr_live = r_live[keep].tolist()
+                if keep.any():
+                    corr = (cls[noncold][keep], r_reload[keep], r_dead[keep],
+                            r_live[keep])
 
-        # Record columns, handed to the tracker and metrics as-is: both
-        # queue them and only build GenerationRecord objects when
-        # someone reads per-block history or the record lists.
-        gen_columns = (
+        # Record columns: the tracker queues plain-int lists and builds
+        # GenerationRecord objects only when someone reads per-block
+        # history; the metric bank keeps the int64 arrays as they are.
+        tracker.absorb_closed((
             e_block_l,
             e_start_l,
             e_live_l,
@@ -763,14 +769,13 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             e_hits.tolist(),
             e_max.tolist(),
             prev_live_list,
-        )
-        tracker.absorb_closed(gen_columns)
+        ))
         if metrics is not None:
-            metrics.bulk_generations(e_live, e_dead, gen_columns)
-            if corr_cls:
-                metrics.bulk_correlations(
-                    corr_cls, corr_reload, corr_dead, corr_live
-                )
+            metrics.bulk_generations(
+                (e_block, e_start, e_live, e_dead, e_hits, e_max, prev_live_arr)
+            )
+            if corr is not None:
+                metrics.bulk_correlations(*corr)
     else:
         n_evictions = 0
 

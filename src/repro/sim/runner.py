@@ -60,6 +60,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 
 from ..common.config import MachineConfig, config_digest, paper_machine
 from ..common.errors import CellTimeoutError, ReproError, SimulationError
+from ..common.jsonl import gc_suspended
 from ..faults.injector import FaultInjector, current_injector
 from ..faults.plan import FaultPlan
 from ..obs.history import (
@@ -1202,26 +1203,27 @@ def run_sweep(
                 ).to_manifest()
             prior = run_store.start(manifest, resume=resume)
             wanted = {cell.key for cell in cells}
-            for key, record in prior.items():
-                if key not in wanted:
-                    continue
-                if record.get("status") == "ok":
-                    replayed[key] = SimulationResult.from_dict(record["result"])
-                elif not retry_poisoned:
-                    # A stored failure already exhausted its retries once;
-                    # quarantine it instead of letting a deterministic
-                    # crasher re-wedge every resume.
-                    detail = record.get("failure")
-                    if detail:
-                        failure = CellFailure.from_dict(detail)
-                    else:  # minimal pre-detail record
-                        failure = CellFailure(
-                            key[0], key[1], "Unknown",
-                            "stored failure record without detail", "",
-                            record.get("attempts", 1),
-                        )
-                    failure.poisoned = True
-                    poisoned.append(failure)
+            with gc_suspended():  # replaying builds no reference cycles
+                for key, record in prior.items():
+                    if key not in wanted:
+                        continue
+                    if record.get("status") == "ok":
+                        replayed[key] = SimulationResult.from_dict(record["result"])
+                    elif not retry_poisoned:
+                        # A stored failure already exhausted its retries once;
+                        # quarantine it instead of letting a deterministic
+                        # crasher re-wedge every resume.
+                        detail = record.get("failure")
+                        if detail:
+                            failure = CellFailure.from_dict(detail)
+                        else:  # minimal pre-detail record
+                            failure = CellFailure(
+                                key[0], key[1], "Unknown",
+                                "stored failure record without detail", "",
+                                record.get("attempts", 1),
+                            )
+                        failure.poisoned = True
+                        poisoned.append(failure)
 
         quarantined = {(f.workload, f.config) for f in poisoned}
         to_run = [

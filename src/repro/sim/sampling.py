@@ -234,11 +234,8 @@ def _scale_metrics(metrics: TimekeepingMetrics, scale: float) -> TimekeepingMetr
     out.zero_live_generations = _scale_count(metrics.zero_live_generations, scale)
     # Keep the measured sample of records for figure pipelines that
     # inspect individual generations.
-    out._pending_generations = list(metrics._pending_generations)
-    out._generations = list(metrics._generations)
-    out._live_time_pairs = list(metrics._live_time_pairs)
-    out._pending_correlations = list(metrics._pending_correlations)
-    out._miss_correlations = list(metrics._miss_correlations)
+    out._generations.add_chunk(metrics.generation_columns)
+    out._correlations.add_chunk(metrics.correlation_columns)
     return out
 
 

@@ -656,7 +656,7 @@ class MemorySimulator:
                                     n_superseded += 1
                                 fire_at = schedule.fire_at
                                 armed = PendingPrefetch(
-                                    key, schedule.target_block, self.now, fire_at
+                                    key, schedule.target_block, fire_at
                                 )
                                 pending_map[key] = armed
                                 _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
@@ -681,7 +681,6 @@ class MemorySimulator:
                             current.state == _ISSUED or current.state == _QUEUED
                         ):
                             current.state = _ARRIVED
-                            current.arrived_at = when
                             current.displaced_block = displaced
                             if displaced >= 0:
                                 displaced_map[displaced] = pending_key
@@ -793,7 +792,6 @@ class MemorySimulator:
                             n_mshr_allocations += 1
                         if pending.state == _QUEUED:
                             pending.state = _ISSUED
-                            pending.issued_at = now
                         _heappush(events_heap, (completes, next_seq(), (_ARRIVE, pending)))
                         n_issued += 1
                 n_accesses += 1
@@ -811,7 +809,7 @@ class MemorySimulator:
                                 displaced_map.pop(old.displaced_block, None)
                             n_superseded += 1
                         fire_at = schedule.fire_at
-                        armed = PendingPrefetch(key, schedule.target_block, now, fire_at)
+                        armed = PendingPrefetch(key, schedule.target_block, fire_at)
                         pending_map[key] = armed
                         _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
                         n_scheduled += 1
@@ -1092,7 +1090,7 @@ class MemorySimulator:
                             displaced_map.pop(old.displaced_block, None)
                         n_superseded += 1
                     fire_at = schedule.fire_at
-                    armed = PendingPrefetch(key, schedule.target_block, now, fire_at)
+                    armed = PendingPrefetch(key, schedule.target_block, fire_at)
                     pending_map[key] = armed
                     _heappush(events_heap, (fire_at, next_seq(), (_FIRE, armed)))
                     n_scheduled += 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..common.errors import StoreError
-from ..common.jsonl import JsonlJournal, LineIssue, PathLike
+from ..common.jsonl import JsonlJournal, LineIssue, PathLike, gc_suspended
 from ..faults.injector import current_injector
 from ..obs.logging import current_logger
 from ..obs.metrics import current as current_telemetry
@@ -163,6 +163,12 @@ class RunStore(JsonlJournal):
                 lines = fh.readlines()
         except OSError as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
+        with gc_suspended():
+            self._scan_lines(lines, report)
+        return report
+
+    def _scan_lines(self, lines: List[str], report: LoadReport) -> None:
+        """Classify every store line into *report* (see :meth:`load_report`)."""
         report.total_lines = len(lines)
         last = len(lines) - 1
         last_line_for: Dict[CellKey, Tuple[int, str]] = {}
@@ -217,7 +223,6 @@ class RunStore(JsonlJournal):
                 report.quarantined.append(
                     LineIssue(lineno + 1, f"unknown record kind {kind!r}", text)
                 )
-        return report
 
     def load(self) -> Tuple[Optional[Dict[str, Any]], Dict[CellKey, Dict[str, Any]]]:
         """Read the store: ``(latest_manifest, {(workload, config): cell})``.

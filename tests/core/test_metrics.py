@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.types import MissClass
 from repro.core.generations import GenerationRecord
-from repro.core.metrics import RELOAD_BIN, TIME_BIN, TimekeepingMetrics
+from repro.core.metrics import NO_PREV_LIVE, RELOAD_BIN, TIME_BIN, TimekeepingMetrics
 
 
 def record(live=10, dead=100, block=1, start=0, hits=1, max_int=5, prev=None):
@@ -38,14 +38,12 @@ class TestGenerationFeed:
         m.on_generation(record(live=20, prev=10))
         assert m.live_time_pairs == [(10, 20)]
 
-    def test_generations_kept_when_enabled(self):
-        m = TimekeepingMetrics(keep_generations=True)
-        m.on_generation(record())
-        assert len(m.generations) == 1
-        m2 = TimekeepingMetrics(keep_generations=False)
-        m2.on_generation(record())
-        assert m2.generations == []
-        assert m2.total_generations == 1
+    def test_generations_kept(self):
+        m = TimekeepingMetrics()
+        m.on_generation(record(live=7, prev=None))
+        assert m.generations == [record(live=7, prev=None)]
+        assert m.total_generations == 1
+        assert m.generation_columns.prev_live_time.tolist() == [NO_PREV_LIVE]
 
 
 class TestMissCorrelations:

@@ -7,7 +7,7 @@ from repro.core.prefetch.timeliness import PrefetchBookkeeper, TimelinessCounts
 
 
 def full_lifecycle(bk, frame=1, target=100, displaced=50):
-    p = bk.scheduled(frame, target, armed_at=0, fire_at=10)
+    p = bk.scheduled(frame, target, fire_at=10)
     bk.fired(frame)
     bk.issued(frame, 20)
     bk.arrived(frame, 40, displaced)
@@ -30,7 +30,7 @@ class TestResolutionPaths:
 
     def test_late_when_in_flight(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
+        bk.scheduled(1, 100, 10)
         bk.fired(1)
         bk.issued(1, 20)
         pending = bk.demand_miss(1, missed_block=100, now=30)
@@ -39,20 +39,20 @@ class TestResolutionPaths:
 
     def test_not_started_while_waiting(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10_000)
+        bk.scheduled(1, 100, 10_000)
         bk.demand_miss(1, 100, now=50)
         assert bk.counts.correct[PrefetchTimeliness.NOT_STARTED] == 1
 
     def test_not_started_while_queued(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
+        bk.scheduled(1, 100, 10)
         bk.fired(1)
         bk.demand_miss(1, 200, now=50)
         assert bk.counts.wrong[PrefetchTimeliness.NOT_STARTED] == 1
 
     def test_discarded(self):
         bk = PrefetchBookkeeper()
-        p = bk.scheduled(1, 100, 0, 10)
+        p = bk.scheduled(1, 100, 10)
         bk.fired(1)
         bk.discarded(p)
         bk.demand_miss(1, 100, now=50)
@@ -96,21 +96,21 @@ class TestEarlyDetection:
 class TestLifecycleEdges:
     def test_superseded_rearm(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
-        bk.scheduled(1, 200, 5, 15)
+        bk.scheduled(1, 100, 10)
+        bk.scheduled(1, 200, 15)
         assert bk.superseded == 1
         assert bk.pending_for(1).target_block == 200
 
     def test_cancel(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
+        bk.scheduled(1, 100, 10)
         bk.cancel(1)
         assert bk.cancelled == 1
         assert bk.pending_for(1) is None
 
     def test_arrival_after_resolution_ignored(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
+        bk.scheduled(1, 100, 10)
         bk.demand_miss(1, 100, now=5)  # resolved NOT_STARTED
         bk.arrived(1, 40, 50)           # stale arrival
         assert bk.counts.total == 1
@@ -123,7 +123,7 @@ class TestLifecycleEdges:
 
     def test_reset_stats_keeps_pending(self):
         bk = PrefetchBookkeeper()
-        bk.scheduled(1, 100, 0, 10)
+        bk.scheduled(1, 100, 10)
         bk.reset_stats()
         assert bk.pending_for(1) is not None
         assert bk.counts.total == 0

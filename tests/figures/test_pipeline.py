@@ -7,6 +7,8 @@ run is what validates the science).
 
 import pytest
 
+from repro.core.generations import GenerationRecord
+from repro.core.metrics import MissCorrelation
 from repro.figures.pipeline import (
     _build_artifact,
     derive_figures,
@@ -121,6 +123,31 @@ class TestDeriveScansOnce:
         assert len(scans) == 1
         assert text == two_scan_text
         assert text == run.report_text
+
+
+class TestDeriveBuildsNoRecords:
+    def test_derive_constructs_no_record_objects(self, tmp_path, monkeypatch):
+        """Every figure reads the metric banks' columns: deriving the
+        whole report builds no per-generation or per-miss object."""
+        run = run_paper(out_dir=str(tmp_path), **SCALE)
+        built = []
+        for cls in (GenerationRecord, MissCorrelation):
+            real_init = cls.__init__
+
+            def counting_init(self, *args, _real=real_init, **kwargs):
+                built.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        with RunStore(run.store_path) as store:
+            _, text, _ = derive_figures(select_specs(None), store,
+                                        length=SCALE["length"])
+        assert built == []
+        assert text == run.report_text
+        # The counter does see objects when something builds them.
+        suite, _ = load_suite(RunStore(run.store_path))
+        assert suite["gzip"]["base"].metrics.generations
+        assert "GenerationRecord" in built
 
 
 class TestResumeAfterKill:

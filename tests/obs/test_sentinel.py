@@ -61,6 +61,39 @@ class TestCheckRecords:
         assert [f.metric for f in report.findings] == ["cells_failed"]
         assert report.findings[0].delta_pct == float("inf")
 
+    def test_timing_drop_over_one_baseline_run_is_not_judged(self):
+        # One baseline run has MAD 0, so it cannot tell a regression
+        # from host jitter: the row says so and the check passes.
+        records = [_run(throughput_aps=100_000.0), _run(throughput_aps=60_000.0)]
+        report = check_records(records)
+        assert report.passed
+        (row,) = report.rows
+        assert row["metric"] == "throughput_aps"
+        assert row["status"] == "insufficient baseline"
+        assert row["delta_pct"] == pytest.approx(40.0)
+        assert any(note.startswith("throughput_aps: not judged, 1 baseline run")
+                   for note in report.notes)
+
+    def test_timing_drop_over_three_baseline_runs_regresses(self):
+        records = ([_run(throughput_aps=100_000.0)] * 3
+                   + [_run(throughput_aps=60_000.0)])
+        report = check_records(records)
+        assert [f.metric for f in report.findings] == ["throughput_aps"]
+        assert report.rows[0]["status"] == "REGRESSED"
+        assert not any("not judged" in note for note in report.notes)
+
+    def test_phase_and_probe_timings_need_three_runs_too(self):
+        records = [_run(phase_simulate_s=1.0, probe_ms_gzip=10.0, wall_time_s=1.0),
+                   _run(phase_simulate_s=2.0, probe_ms_gzip=20.0, wall_time_s=2.0)]
+        report = check_records(records)
+        assert report.passed
+        assert {row["status"] for row in report.rows} == {"insufficient baseline"}
+
+    def test_count_metric_is_judged_against_one_baseline_run(self):
+        report = check_records([_run(cells_failed=0.0), _run(cells_failed=2.0)])
+        assert [f.metric for f in report.findings] == ["cells_failed"]
+        assert report.rows[0]["status"] == "REGRESSED"
+
     def test_noisy_baseline_absorbs_jitter_via_mad(self):
         # Baseline wall times oscillate 8..14s (median 11, MAD 3);
         # 14s is within routine jitter even though it is >25% over.

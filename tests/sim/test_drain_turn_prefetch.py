@@ -25,13 +25,13 @@ def test_drain_turn_issues_prefetches():
     sim = MemorySimulator(prefetch_policy=policy)
 
     # A fired prediction parked in the queue, ready to issue.
-    pending = sim.bookkeeper.scheduled(0, 0x40, 0, 0)
+    pending = sim.bookkeeper.scheduled(0, 0x40, 0)
     sim.bookkeeper.fired(0)
     sim.prefetch_queue.push(pending)
 
     # An unrelated, already-cancelled fire event due before the first
     # access: its only effect is making the loop take the drain branch.
-    orphan = sim.bookkeeper.scheduled(1, 0x80, 0, 2)
+    orphan = sim.bookkeeper.scheduled(1, 0x80, 2)
     sim.bookkeeper.cancel(1)
     sim.events.schedule(2, (_FIRE, orphan))
 
@@ -46,7 +46,7 @@ def test_non_drain_turn_issues_prefetches():
     """No due events: the queued prefetch still issues."""
     policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
     sim = MemorySimulator(prefetch_policy=policy)
-    pending = sim.bookkeeper.scheduled(0, 0x40, 0, 0)
+    pending = sim.bookkeeper.scheduled(0, 0x40, 0)
     sim.bookkeeper.fired(0)
     sim.prefetch_queue.push(pending)
 

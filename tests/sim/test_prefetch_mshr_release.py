@@ -31,10 +31,10 @@ def _drain_arrival_at(sim, pending, when):
 def _superseded_arrival(sim):
     """Arm, fire, and issue a prediction, then supersede it with a
     newer one for the same frame and block.  Returns the stale pending."""
-    stale = sim.bookkeeper.scheduled(FRAME, BLOCK, 0, 0)
+    stale = sim.bookkeeper.scheduled(FRAME, BLOCK, 0)
     sim.bookkeeper.fired(FRAME)
     sim.bookkeeper.issued(FRAME, 0)
-    fresh = sim.bookkeeper.scheduled(FRAME, BLOCK, 5, 5)
+    fresh = sim.bookkeeper.scheduled(FRAME, BLOCK, 5)
     sim.bookkeeper.fired(FRAME)
     sim.bookkeeper.issued(FRAME, 6)
     assert sim.bookkeeper.pending_for(FRAME) is fresh

@@ -2,8 +2,9 @@
 
 Re-measures the probes those files record — simulator throughput under
 both dispatch engines (batch and forced-scalar), prefetch-path
-throughput, and the scalar victim, timekeeping-prefetch and DBCP paper
-configs from ``BENCH_hotpath.json``, vectorized
+throughput, the scalar victim, timekeeping-prefetch and DBCP paper
+configs, and deriving every figure from a smoke-scale paper store from
+``BENCH_hotpath.json``, vectorized
 100k-access trace synthesis per workload from ``BENCH_tracecache.json``,
 sampled-tier and analytical-tier runtimes from ``BENCH_fidelity.json``
 — and fails (exit 1) when any probe regresses past the threshold
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -112,6 +114,27 @@ def _probe_scalar_config(config: Mapping[str, Any]) -> Callable[[], Any]:
     return fn
 
 
+def _probe_derive() -> Callable[[], Any]:
+    # The smoke-scale store is written once, outside the timed body;
+    # the probe times derive_figures over it (store scan, metric-bank
+    # decoding, every figure's build, the report).
+    from repro.figures.pipeline import SMOKE_LENGTH, derive_figures, run_paper
+    from repro.figures.registry import select_specs
+    from repro.sim.store import RunStore
+
+    workdir = tempfile.TemporaryDirectory()
+    run = run_paper(out_dir=workdir.name, smoke=True, trace_cache=False,
+                    write_report=False, obs_history=False)
+    specs = select_specs(None)
+
+    def fn() -> None:
+        with RunStore(run.store_path) as store:
+            text = derive_figures(specs, store, length=SMOKE_LENGTH)[1]
+        assert text == run.report_text
+    fn.workdir = workdir  # type: ignore[attr-defined]  # removed with the probe
+    return fn
+
+
 def _probe_synthesis(workload: str) -> Callable[[], Any]:
     def fn() -> None:
         trace = build_workload(workload, length=100_000, engine="vectorized")
@@ -174,6 +197,9 @@ def default_probes() -> List[Probe]:
         Probe("sim.scalar_dbcp", "BENCH_hotpath.json",
               "results.test_perf_scalar_dbcp.after_ms.min",
               _probe_scalar_config({"prefetcher": "dbcp"})),
+        Probe("figures.derive", "BENCH_hotpath.json",
+              "results.test_perf_derive_figures.after_ms.min",
+              _probe_derive()),
     ]
     for name in SYNTH_WORKLOADS:
         probes.append(

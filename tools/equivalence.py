@@ -251,7 +251,7 @@ class ReferenceSimulator(MemorySimulator):
 
     def _arm(self, schedule) -> None:
         pending = self.bookkeeper.scheduled(
-            schedule.frame_key, schedule.target_block, self.now, schedule.fire_at
+            schedule.frame_key, schedule.target_block, schedule.fire_at
         )
         self.events.schedule(schedule.fire_at, (_FIRE, pending))
         self._prefetch_scheduled += 1
